@@ -93,11 +93,19 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
     if rows.shape[0] % nx != 0:
         raise ConfigError(f"{path} is not a complete rectangular grid")
     nt = rows.shape[0] // nx
-    # rows are t-major: positions repeat within each time block
-    if not np.array_equal(rows[:nx, 0], np.sort(rows[:nx, 0])):
+    # rows are t-major: every time block repeats the first block's positions
+    x_blocks = rows[:, 0].reshape(nt, nx)
+    t_blocks = rows[:, 1].reshape(nt, nx)
+    xs = x_blocks[0]
+    ts = t_blocks[:, 0]
+    if not np.all(np.diff(xs) > 0):
         raise ConfigError(f"{path} rows are not x-sorted within time blocks")
-    xs = rows[:nx, 0]
-    ts = rows[::nx, 1]
+    if not np.array_equal(x_blocks, np.broadcast_to(xs, x_blocks.shape)):
+        raise ConfigError(f"{path} time blocks do not repeat the first block's x values")
+    if not (np.array_equal(t_blocks, np.broadcast_to(ts[:, None], t_blocks.shape))
+            and np.all(np.diff(ts) > 0)):
+        raise ConfigError(f"{path} times are not constant within blocks and "
+                          "strictly increasing across them")
     field = FieldGrid(
         xs=xs,
         ts=ts,

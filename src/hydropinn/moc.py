@@ -68,6 +68,9 @@ class FieldGrid:
         self.v = np.asarray(self.v, dtype=float)
         if self.xs.size < 2 or self.ts.size < 1:
             raise DomainError("FieldGrid needs at least 2 positions and 1 time")
+        for name, axis in (("xs", self.xs), ("ts", self.ts)):
+            if not np.all(np.diff(axis) > 0):
+                raise DomainError(f"FieldGrid {name} must be strictly increasing")
         expected = (self.ts.size, self.xs.size)
         if self.P.shape != expected or self.v.shape != expected:
             raise DomainError(
@@ -225,6 +228,9 @@ def _axis_weights(coords: np.ndarray, queries: np.ndarray, name: str):
     if coords.size == 1:
         return np.zeros(q.size, dtype=int), np.zeros(q.size)
     step = span / (coords.size - 1)
+    # the weights below assume one step; the same tolerance as the snapping
+    if np.max(np.abs(np.diff(coords) - step)) > 1e-9 * abs(step):
+        raise GridError(f"{name} axis of the source field is not uniformly spaced")
     frac = (q - coords[0]) / step
     i0 = np.clip(np.floor(frac).astype(int), 0, coords.size - 2)
     w = frac - i0
@@ -235,7 +241,11 @@ def _axis_weights(coords: np.ndarray, queries: np.ndarray, name: str):
 
 
 def sample(field: FieldGrid, xs_out, ts_out) -> FieldGrid:
-    """Bilinear resampling of the field onto a new rectangular grid."""
+    """Bilinear resampling of the field onto a new rectangular grid.
+
+    The field's axes must be uniformly spaced (GridError otherwise), as the
+    MOC and export grids are.
+    """
     ix, wx = _axis_weights(field.xs, xs_out, "x")
     it, wt = _axis_weights(field.ts, ts_out, "t")
 

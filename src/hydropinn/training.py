@@ -11,12 +11,17 @@ Each stage returns the best parameters seen on its own objective,
 evaluated on fixed full/eval point sets at the stage boundaries and every
 `EVAL_EVERY` iterations, so a stage can never hand off parameters worse
 than the ones it received.
+
+An iteration computes only the terms of its stage objective, on the
+current batch. The trace's other loss columns hold the latest values of
+those terms on the fixed eval sets, measured in the same pass as the
+objective evaluation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +272,13 @@ class _FamilyBatcher:
         return idx
 
 
-def _eval_data_loss(spec, params, x, t, P_obs, v_obs, coeffs, form) -> float:
+def _eval_data_terms(spec, params, x, t, P_obs, v_obs, coeffs, form):
+    """Tape-free data loss plus its per-channel terms (first channel, velocity)."""
     y1, v = net_forward(spec, params, x, t)
     obs = _observed_first_channel(P_obs, spec, coeffs)
-    return float(data_misfit(y1, v, obs, v_obs, form))
+    total = float(data_misfit(y1, v, obs, v_obs, form))
+    m1, m2 = data_misfit_terms(y1, v, obs, v_obs)
+    return total, (m1, m2)
 
 
 def _eval_physics_losses(spec, params, x, t, coeffs) -> tuple[float, float]:
@@ -278,6 +286,18 @@ def _eval_physics_losses(spec, params, x, t, coeffs) -> tuple[float, float]:
 
     g_mo, g_con = residuals(spec, params, coeffs, x, t)
     return float(_mean_sq(g_con)), float(_mean_sq(g_mo))
+
+
+@dataclass(frozen=True)
+class _LossTerms:
+    """The four loss terms plus the per-channel boundary diagnostics."""
+
+    bc: float
+    ic: float
+    con: float
+    mo: float
+    bc_first: float
+    bc_velocity: float
 
 
 @dataclass
@@ -304,26 +324,41 @@ def _stage_context(cfg: TrainConfig, data: TrainingData, stage_id: int) -> _Stag
     )
 
 
-def _stage_objective(kind: str, cfg: TrainConfig, spec, params,
-                     data: TrainingData, ctx: _StageContext, form: str) -> float:
-    """Full-set (eval-subset for collocation) value of the stage objective."""
+def _taped_family_loss(spec, pvars, data: TrainingData, family: str, idx, form):
+    """Taped data loss on rows `idx` of the 'bc' or 'ic' family."""
     c = data.colloc
-    if kind == "bc":
-        return _eval_data_loss(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                               data.coeffs, "split")
-    if kind == "ic":
-        return _eval_data_loss(spec, params, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
-                               data.coeffs, "split")
-    bc = _eval_data_loss(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                         data.coeffs, form)
-    ic = _eval_data_loss(spec, params, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
-                         data.coeffs, form)
-    if kind == "data":
-        return cfg.weights.bc * bc + cfg.weights.ic * ic
+    x, t, P, v = (getattr(c, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
+    return taped_data_loss(spec, pvars, x, t, P, v, data.coeffs, form)
+
+
+def _stage_eval(kind: str, cfg: TrainConfig, spec, params, data: TrainingData,
+                ctx: _StageContext, form: str) -> tuple[float, _LossTerms]:
+    """Stage objective and every loss term on the stage's fixed eval sets.
+
+    The full boundary and initial sets, and the `f_eval_idx` collocation
+    subset. Data terms use the 'split' form in the `bc`/`ic` stages and the
+    stage form otherwise.
+    """
+    if kind not in ("bc", "ic", "coupled", "data"):
+        raise ConfigError(f"unknown stage kind {kind!r}")
+    c = data.colloc
+    data_form = "split" if kind in ("bc", "ic") else form
+    bc, (d1, d2) = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
+                                    data.coeffs, data_form)
+    ic, _ = _eval_data_terms(spec, params, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
+                             data.coeffs, data_form)
     idx = ctx.f_eval_idx
     con, mo = _eval_physics_losses(spec, params, c.x_f[idx], c.t_f[idx], data.coeffs)
+    terms = _LossTerms(bc=bc, ic=ic, con=con, mo=mo,
+                       bc_first=float(d1), bc_velocity=float(d2))
     w = cfg.weights
-    return w.bc * bc + w.ic * ic + w.con * con + w.mo * mo
+    if kind == "bc":
+        return bc, terms
+    if kind == "ic":
+        return ic, terms
+    if kind == "data":
+        return w.bc * bc + w.ic * ic, terms
+    return w.bc * bc + w.ic * ic + w.con * con + w.mo * mo, terms
 
 
 def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
@@ -332,9 +367,13 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                log_every: int = 0, log=print):
     """Optimize one stage objective; returns (best_params, next_iteration).
 
-    kind: 'bc' | 'ic' | 'coupled' | 'data'. All kinds draw batches from all
-    three families each iteration (terms outside the objective are recorded
-    tape-free for the trace), so traces are comparable across stages.
+    kind: 'bc' | 'ic' | 'coupled' | 'data'. Each iteration draws, forwards
+    and differentiates only the families its objective uses: `bc` the
+    boundary batch, `ic` the initial batch, `data` both, `coupled` all
+    three. Trace columns outside the objective (and `bc_first`/
+    `bc_velocity` in the `ic` stage) hold the latest values measured on the
+    stage's fixed eval sets, refreshed with every objective evaluation: at
+    stage start, every `EVAL_EVERY` iterations and at stage end.
     """
     ctx = _stage_context(cfg, data, stage_id)
     c = data.colloc
@@ -342,7 +381,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     if form is None:
         form = cfg.bc_loss_form
 
-    start_obj = _stage_objective(kind, cfg, spec, params, data, ctx, form)
+    start_obj, held = _stage_eval(kind, cfg, spec, params, data, ctx, form)
     best_obj = start_obj
     best_params = params_copy(params)
     adam = AdamState.zeros(params)
@@ -350,62 +389,42 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
     it = start_iteration
     for k in range(iterations):
-        bc_idx = ctx.bc_batcher.next()
-        ic_idx = ctx.ic_batcher.next()
-        f_idx = ctx.f_batcher.next()
-
         tape = Tape()
         pvars = params_to_vars(tape, params)
         flat_vars = [v for pair in pvars for v in pair]
 
-        bc_args = (c.x_bc[bc_idx], c.t_bc[bc_idx], c.P_bc[bc_idx], c.v_bc[bc_idx])
-        ic_args = (c.x_ic[ic_idx], c.t_ic[ic_idx], c.P_ic[ic_idx], c.v_ic[ic_idx])
-        f_args = (c.x_f[f_idx], c.t_f[f_idx])
-
         if kind == "bc":
-            loss_var, (d1, d2) = taped_data_loss(
-                spec, pvars, bc_args[0], bc_args[1], bc_args[2], bc_args[3],
-                data.coeffs, "split")
-            bc_val = float(loss_var.value)
-            ic_val = _eval_data_loss(spec, params, *ic_args, data.coeffs, "split")
-            con_val, mo_val = _eval_physics_losses(spec, params, *f_args, data.coeffs)
+            loss_var, (d1, d2) = _taped_family_loss(spec, pvars, data, "bc",
+                                                    ctx.bc_batcher.next(), "split")
+            terms = replace(held, bc=float(loss_var.value),
+                            bc_first=float(d1), bc_velocity=float(d2))
         elif kind == "ic":
-            loss_var, _ = taped_data_loss(
-                spec, pvars, ic_args[0], ic_args[1], ic_args[2], ic_args[3],
-                data.coeffs, "split")
-            ic_val = float(loss_var.value)
-            bc_val, (d1, d2) = _eval_data_loss_terms(spec, params, bc_args,
-                                                     data.coeffs, "split")
-            con_val, mo_val = _eval_physics_losses(spec, params, *f_args, data.coeffs)
-        elif kind in ("coupled", "data"):
-            bc_var, (d1, d2) = taped_data_loss(
-                spec, pvars, bc_args[0], bc_args[1], bc_args[2], bc_args[3],
-                data.coeffs, form)
-            ic_var, _ = taped_data_loss(
-                spec, pvars, ic_args[0], ic_args[1], ic_args[2], ic_args[3],
-                data.coeffs, form)
-            bc_val = float(bc_var.value)
-            ic_val = float(ic_var.value)
-            if kind == "coupled":
-                con_var, mo_var = taped_physics_losses(spec, pvars, *f_args,
-                                                       data.coeffs)
-                con_val = float(con_var.value)
-                mo_val = float(mo_var.value)
+            loss_var, _ = _taped_family_loss(spec, pvars, data, "ic",
+                                             ctx.ic_batcher.next(), "split")
+            terms = replace(held, ic=float(loss_var.value))
+        else:
+            bc_var, (d1, d2) = _taped_family_loss(spec, pvars, data, "bc",
+                                                  ctx.bc_batcher.next(), form)
+            ic_var, _ = _taped_family_loss(spec, pvars, data, "ic",
+                                           ctx.ic_batcher.next(), form)
+            terms = replace(held, bc=float(bc_var.value), ic=float(ic_var.value),
+                            bc_first=float(d1), bc_velocity=float(d2))
+            if kind == "data":
+                loss_var = w.bc * bc_var + w.ic * ic_var
+            else:
+                f_idx = ctx.f_batcher.next()
+                con_var, mo_var = taped_physics_losses(spec, pvars, c.x_f[f_idx],
+                                                       c.t_f[f_idx], data.coeffs)
+                terms = replace(terms, con=float(con_var.value), mo=float(mo_var.value))
                 loss_var = (w.bc * bc_var + w.ic * ic_var
                             + w.con * con_var + w.mo * mo_var)
-            else:
-                con_val, mo_val = _eval_physics_losses(spec, params, *f_args,
-                                                       data.coeffs)
-                loss_var = w.bc * bc_var + w.ic * ic_var
-        else:
-            raise ConfigError(f"unknown stage kind {kind!r}")
 
         total = float(loss_var.value)
         if not np.isfinite(total) or total > cfg.divergence_threshold:
             raise TrainingDivergedError(
                 f"stage {stage_id} diverged at iteration {it}: loss={total:.4g} "
-                f"(bc={bc_val:.4g}, ic={ic_val:.4g}, con={con_val:.4g}, "
-                f"mo={mo_val:.4g})",
+                f"(bc={terms.bc:.4g}, ic={terms.ic:.4g}, con={terms.con:.4g}, "
+                f"mo={terms.mo:.4g})",
                 trace=trace,
             )
 
@@ -415,8 +434,8 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         try:
             adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
         except NumericalBlowupError as exc:
-            terms = {"bc": bc_val, "ic": ic_val, "con": con_val, "mo": mo_val}
-            bad = [name for name, val in terms.items() if not np.isfinite(val)]
+            values = {"bc": terms.bc, "ic": terms.ic, "con": terms.con, "mo": terms.mo}
+            bad = [name for name, val in values.items() if not np.isfinite(val)]
             raise NumericalBlowupError(
                 f"stage {stage_id} iteration {it}: {exc}; "
                 f"non-finite loss terms: {bad or 'none (gradient only)'}"
@@ -426,34 +445,25 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
         trace.rows.append(TraceRow(
             stage=stage_id, iteration=it,
-            loss_bc=bc_val, loss_ic=ic_val, loss_con=con_val, loss_mo=mo_val,
-            loss_total=total, bc_first=float(d1), bc_velocity=float(d2),
+            loss_bc=terms.bc, loss_ic=terms.ic, loss_con=terms.con, loss_mo=terms.mo,
+            loss_total=total, bc_first=terms.bc_first, bc_velocity=terms.bc_velocity,
         ))
         it += 1
 
         if (k + 1) % EVAL_EVERY == 0 or k + 1 == iterations:
-            obj = _stage_objective(kind, cfg, spec, params, data, ctx, form)
+            obj, held = _stage_eval(kind, cfg, spec, params, data, ctx, form)
             if obj < best_obj:
                 best_obj = obj
                 best_params = params_copy(params)
         if log_every and (k + 1) % log_every == 0:
             log(f"stage {stage_id} iter {k + 1}/{iterations} "
-                f"total={total:.4e} bc={bc_val:.4e} ic={ic_val:.4e} "
-                f"con={con_val:.4e} mo={mo_val:.4e}")
+                f"total={total:.4e} bc={terms.bc:.4e} ic={terms.ic:.4e} "
+                f"con={terms.con:.4e} mo={terms.mo:.4e}")
 
     trace.stage_summaries.append(
         StageSummary(stage=stage_id, objective_start=start_obj,
                      objective_end=best_obj))
     return best_params, it
-
-
-def _eval_data_loss_terms(spec, params, args, coeffs, form):
-    x, t, P_obs, v_obs = args
-    y1, v = net_forward(spec, params, x, t)
-    obs = _observed_first_channel(P_obs, spec, coeffs)
-    total = float(data_misfit(y1, v, obs, v_obs, form))
-    m1, m2 = data_misfit_terms(y1, v, obs, v_obs)
-    return total, (m1, m2)
 
 
 def _make_spec(cfg: TrainConfig, data: TrainingData, output_mode: str) -> NetSpec:
@@ -482,13 +492,13 @@ def train_stage_two(cfg: TrainConfig, data: TrainingData, spec: NetSpec, params,
                     log_every: int = 0, log=print):
     """Initial-condition fit from the stage-one parameters."""
     c = data.colloc
-    bc_before = _eval_data_loss(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                                data.coeffs, "split")
+    bc_before, _ = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
+                                    data.coeffs, "split")
     params, it = _run_stage(2, "ic", cfg.stage_iterations[1], cfg, spec, params,
                             data, trace, start_iteration,
                             log_every=log_every, log=log)
-    bc_after = _eval_data_loss(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                               data.coeffs, "split")
+    bc_after, _ = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
+                                   data.coeffs, "split")
     if bc_after > cfg.bc_retention_factor * max(bc_before, 1e-300):
         trace.warnings.append(
             f"stage 2 grew the boundary loss {bc_after / max(bc_before, 1e-300):.1f}x "

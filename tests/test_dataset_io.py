@@ -55,6 +55,37 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError):
             read_dataset(path)
 
+    def _write_lines(self, tmp_path, fluid, pipe, rows):
+        path = tmp_path / "ds.csv"
+        meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,
+                           wave_speed=1190.0)
+        write_dataset(FieldGrid(xs=np.array([0.0, 1.0]), ts=np.array([0.0]),
+                                P=np.zeros((1, 2)), v=np.zeros((1, 2))), meta, path)
+        path.write_text("\n".join(["x_m,t_s,pressure_mpa,velocity_mps"]
+                                   + [",".join(map(str, r)) for r in rows]) + "\n")
+        return path
+
+    def test_time_blocks_out_of_order(self, tmp_path, fluid, pipe):
+        # two swapped blocks would read back as ts=[0, 1, 0.5, 1.5]
+        rows = [(x, t, 1.0, 0.1) for t in (0.0, 1.0, 0.5, 1.5) for x in (0.0, 1.0)]
+        path = self._write_lines(tmp_path, fluid, pipe, rows)
+        with pytest.raises(ConfigError, match="ds.csv"):
+            read_dataset(path)
+
+    def test_block_must_repeat_first_block_positions(self, tmp_path, fluid, pipe):
+        rows = [(0.0, 0.0, 1.0, 0.1), (1.0, 0.0, 1.0, 0.1),
+                (1.0, 0.5, 1.0, 0.1), (0.0, 0.5, 1.0, 0.1)]
+        path = self._write_lines(tmp_path, fluid, pipe, rows)
+        with pytest.raises(ConfigError, match="ds.csv"):
+            read_dataset(path)
+
+    def test_time_constant_within_block(self, tmp_path, fluid, pipe):
+        rows = [(0.0, 0.0, 1.0, 0.1), (1.0, 0.5, 1.0, 0.1),
+                (0.0, 1.0, 1.0, 0.1), (1.0, 1.0, 1.0, 0.1)]
+        path = self._write_lines(tmp_path, fluid, pipe, rows)
+        with pytest.raises(ConfigError, match="ds.csv"):
+            read_dataset(path)
+
     def test_missing_sidecar(self, tmp_path, rng, fluid, pipe):
         field = self._random_field(rng)
         meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,

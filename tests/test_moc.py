@@ -214,6 +214,25 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(f, np.array([5.0, 10.0]), np.array([2.0]))
 
+    def test_non_uniform_source_axis_rejected(self):
+        # bilinear weights from one step would read x=5 as 1.0, not 5.0
+        xs = np.array([0.0, 1.0, 10.0])
+        f = FieldGrid(xs=xs, ts=np.array([0.0, 1.0]), P=np.tile(xs, (2, 1)),
+                      v=np.zeros((2, 3)))
+        with pytest.raises(GridError, match="x axis"):
+            sample(f, np.array([5.0]), np.array([0.0]))
+        g = FieldGrid(xs=np.array([0.0, 1.0]), ts=np.array([0.0, 1.0, 3.0]),
+                      P=np.zeros((3, 2)), v=np.zeros((3, 2)))
+        with pytest.raises(GridError, match="t axis"):
+            sample(g, np.array([0.5]), np.array([2.0]))
+
+    def test_rounded_uniform_axes_accepted(self, moc_field):
+        # the MOC and export axes are uniform up to round-off
+        field, _, frozen_pipe = moc_field
+        xs, ts = export_grid(frozen_pipe.length, 600.0)
+        out = sample(field, xs, ts)
+        assert out.P.shape == (ts.size, xs.size)
+
     def test_desk_grid_has_51_columns_and_48_interior(self, desk_dataset):
         field, meta = desk_dataset
         assert field.xs.size == 51
@@ -229,3 +248,15 @@ def test_field_grid_validation():
     with pytest.raises(DomainError):
         FieldGrid(xs=np.array([0.0, 1.0]), ts=np.array([0.0]),
                   P=np.zeros((2, 2)), v=np.zeros((2, 2)))
+
+
+def test_field_grid_axes_strictly_increasing():
+    with pytest.raises(DomainError, match="xs"):
+        FieldGrid(xs=np.array([1.0, 0.0]), ts=np.array([0.0]),
+                  P=np.zeros((1, 2)), v=np.zeros((1, 2)))
+    with pytest.raises(DomainError, match="ts"):
+        FieldGrid(xs=np.array([0.0, 1.0]), ts=np.array([0.0, 0.0]),
+                  P=np.zeros((2, 2)), v=np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="ts"):
+        FieldGrid(xs=np.array([0.0, 1.0]), ts=np.array([0.0, 1.0, 0.5]),
+                  P=np.zeros((3, 2)), v=np.zeros((3, 2)))

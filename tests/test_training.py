@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from hydropinn import training
 from hydropinn.dataset import DatasetMeta
 from hydropinn.errors import ConfigError, NumericalBlowupError
-from hydropinn.losses import LossWeights
+from hydropinn.losses import LossWeights, loss_bc, loss_ic, residuals
 from hydropinn.moc import export_grid, sample
-from hydropinn.network import net_forward, params_copy
+from hydropinn.network import init_params, net_forward, params_copy
 from hydropinn.training import (
     AdamState,
     TrainConfig,
     TrainingData,
     TrainTrace,
+    _make_spec,
     _run_stage,
+    _stage_context,
     adam_step,
     output_mode_for,
     train,
@@ -110,8 +113,6 @@ class TestStages:
                           seed=3)
         trace = TrainTrace()
         spec, params, it = train_stage_one(cfg, tiny_data, trace)
-        from hydropinn.network import init_params
-
         ref = init_params(spec, np.random.default_rng(np.random.SeedSequence((3, 0))))
         for (w, b), (wr, br) in zip(params, ref):
             assert np.array_equal(w, wr)
@@ -238,3 +239,78 @@ class TestGradientValidity:
                                      form=cfg.bc_loss_form)
             report = run_adcheck(problem, h=1e-4, tolerance=1e-5)
             assert report.passed, report.summary()
+
+
+class TestOffObjectiveTerms:
+    """Stage iterations compute only their objective; the other trace
+    columns come from the fixed eval sets."""
+
+    @pytest.fixture()
+    def start(self, tiny_cfg, tiny_data):
+        spec = _make_spec(tiny_cfg, tiny_data, output_mode_for(tiny_cfg.baseline))
+        return spec, init_params(spec, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind, taped_physics", [
+        ("bc", 0), ("ic", 0), ("data", 0), ("coupled", 25)])
+    def test_physics_evaluated_once_per_objective_evaluation(
+            self, monkeypatch, tiny_cfg, tiny_data, start, kind, taped_physics):
+        calls = {"residuals": 0, "taped_physics_losses": 0}
+        for name in calls:
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(training, name, counted)
+        monkeypatch.setattr(training, "EVAL_EVERY", 10)
+        spec, params = start
+        _run_stage(1, kind, 25, tiny_cfg, spec, params, tiny_data, TrainTrace(), 0)
+        # stage start, iterations 10 and 20, stage end
+        assert calls == {"residuals": 4, "taped_physics_losses": taped_physics}
+
+    def _eval_set_values(self, cfg, data, spec, params, stage_id):
+        c = data.colloc
+        idx = _stage_context(cfg, data, stage_id).f_eval_idx
+        g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
+        return (loss_bc(c, spec, params, data.coeffs, "split"),
+                loss_ic(c, spec, params, data.coeffs, "split"),
+                float(np.mean(g_con * g_con)), float(np.mean(g_mo * g_mo)))
+
+    def test_stage_one_holds_eval_set_values(self, monkeypatch, tiny_cfg,
+                                             tiny_data, start):
+        monkeypatch.setattr(training, "EVAL_EVERY", 10)
+        spec, params = start
+        bc0, ic0, con0, mo0 = self._eval_set_values(tiny_cfg, tiny_data, spec,
+                                                    params, 1)
+        trace = TrainTrace()
+        _run_stage(1, "bc", 20, tiny_cfg, spec, params_copy(params), tiny_data,
+                   trace, 0)
+        # `params` after ten iterations: the values of the first refresh
+        stepped = params_copy(params)
+        _run_stage(1, "bc", 10, tiny_cfg, spec, stepped, tiny_data, TrainTrace(), 0)
+        _, ic10, con10, mo10 = self._eval_set_values(tiny_cfg, tiny_data, spec,
+                                                     stepped, 1)
+        for r in trace.rows[:10]:
+            assert (r.loss_ic, r.loss_con, r.loss_mo) == (ic0, con0, mo0)
+        for r in trace.rows[10:]:
+            assert (r.loss_ic, r.loss_con, r.loss_mo) == (ic10, con10, mo10)
+        # the objective column is the batch value
+        assert all(r.loss_bc == r.loss_total for r in trace.rows)
+        assert len({r.loss_bc for r in trace.rows}) == len(trace.rows)
+        assert trace.rows[0].loss_bc != bc0
+
+    def test_stage_two_holds_boundary_columns(self, tiny_cfg, tiny_data, start):
+        spec, params = start
+        trace = TrainTrace()
+        _run_stage(2, "ic", 15, tiny_cfg, spec, params_copy(params), tiny_data,
+                   trace, 0)
+        c = tiny_data.colloc
+        y1, v = net_forward(spec, params, c.x_bc, c.t_bc)
+        bc_first = float(np.mean((y1 - c.P_bc) ** 2))
+        bc_velocity = float(np.mean((v - c.v_bc) ** 2))
+        bc, _, con, mo = self._eval_set_values(tiny_cfg, tiny_data, spec, params, 2)
+        for r in trace.rows:
+            assert (r.loss_bc, r.loss_con, r.loss_mo) == (bc, con, mo)
+            assert r.bc_first == pytest.approx(bc_first, rel=1e-12)
+            assert r.bc_velocity == pytest.approx(bc_velocity, rel=1e-12)
+            assert r.loss_ic == r.loss_total
