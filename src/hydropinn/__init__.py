@@ -63,9 +63,6 @@ from .training import (
     TrainTrace,
     adam_step,
     train,
-    train_stage_one,
-    train_stage_three,
-    train_stage_two,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 from .dual import Dual, dual_softplus, sigmoid, softplus
 from .fdcheck import FdReport, fd_check
-from .tape import Tape, Var, tape_sigmoid, tape_softplus
+from .tape import Tape, Var, tape_softplus
 
 __all__ = [
     "Dual",
@@ -11,6 +11,5 @@ __all__ = [
     "fd_check",
     "Tape",
     "Var",
-    "tape_sigmoid",
     "tape_softplus",
 ]

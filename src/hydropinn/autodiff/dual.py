@@ -42,11 +42,6 @@ class Dual:
     __array_ufunc__ = None
 
     @classmethod
-    def constant(cls, value) -> "Dual":
-        value = np.asarray(value, dtype=float)
-        return cls(value, np.zeros_like(value), np.zeros_like(value))
-
-    @classmethod
     def seed(cls, value, dx, dt) -> "Dual":
         """Independent variable with prescribed tangents (chain-rule seeds)."""
         value = np.asarray(value, dtype=float)
@@ -111,13 +106,3 @@ class Dual:
 def dual_softplus(d: Dual) -> Dual:
     sp, s = softplus_and_sigmoid(d.value)
     return Dual(sp, s * d.tangent_x, s * d.tangent_t)
-
-
-def dual_exp(d: Dual) -> Dual:
-    e = np.exp(d.value)
-    return Dual(e, e * d.tangent_x, e * d.tangent_t)
-
-
-def dual_sin(d: Dual) -> Dual:
-    c = np.cos(d.value)
-    return Dual(np.sin(d.value), c * d.tangent_x, c * d.tangent_t)

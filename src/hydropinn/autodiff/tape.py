@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import sigmoid, softplus_and_sigmoid
+from .dual import softplus_and_sigmoid
 
 
 @dataclass
@@ -75,11 +75,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise ValueError("Var/Var division is not supported; divide by constants")
-        return self * (1.0 / np.asarray(other, dtype=float))
-
     def __abs__(self):
         return self.tape._record("abs", (self.index,), (np.sign(self.value),),
                                  np.abs(self.value))
@@ -111,11 +106,6 @@ class Var:
 def tape_softplus(x: Var) -> Var:
     sp, s = softplus_and_sigmoid(x.value)
     return x.tape._record("softplus", (x.index,), (s,), sp)
-
-
-def tape_sigmoid(x: Var) -> Var:
-    s = sigmoid(x.value)
-    return x.tape._record("sigmoid", (x.index,), (s,), s)
 
 
 def tape_softplus_sigmoid(x: Var) -> tuple[Var, Var]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetMeta
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .hydraulics import FluidSpec, PipelineSpec, head_to_pressure
 from .moc import FieldGrid, interior_column_indices
 from .network import NetSpec, net_forward
@@ -132,13 +132,22 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _segments(length: float, breaks) -> list[tuple[str, float, float]]:
-    if not breaks:
-        return [("all", 0.0, length)]
-    edges = [0.0] + sorted(float(b) for b in breaks) + [length]
+def _segment_columns(xs, interior, length: float, breaks) -> list[tuple[str, np.ndarray]]:
+    """(name, interior columns) per x-range of the pipe split at `breaks`.
+
+    A column at x belongs to the segment with lo <= x < hi, so the segments
+    partition the interior columns; segments without a column are dropped.
+    """
+    inner = sorted(float(b) for b in breaks or ())
+    if not all(0.0 < b < length for b in inner) or len(set(inner)) < len(inner):
+        raise ConfigError(f"segment breaks {list(breaks)} must be distinct and lie "
+                          f"strictly inside (0, {length:g}) m")
+    edges = [0.0] + inner + [length]
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        out.append((f"{lo / 1000:g}-{hi / 1000:g}km", lo, hi))
+        cols = interior[(xs[interior] >= lo) & (xs[interior] < hi)]
+        if cols.size:
+            out.append((f"{lo / 1000:g}-{hi / 1000:g}km" if inner else "all", cols))
     return out
 
 
@@ -149,10 +158,8 @@ def evaluate_model(label: str, spec: NetSpec, params, truth: FieldGrid,
     interior = interior_column_indices(truth.xs, meta.pipe.length, meta.offtake_x)
     area = meta.pipe.area
     rows = []
-    for name, lo, hi in _segments(meta.pipe.length, segment_breaks):
-        cols = interior[(truth.xs[interior] >= lo) & (truth.xs[interior] <= hi)]
-        if cols.size == 0:
-            continue
+    for name, cols in _segment_columns(truth.xs, interior, meta.pipe.length,
+                                       segment_breaks):
         for quantity, p_arr, t_arr in (
             ("pressure", pred.P[:, cols], truth.P[:, cols]),
             ("flowrate", pred.v[:, cols] * area * 3600.0,

@@ -154,12 +154,20 @@ def init_params(spec: NetSpec, seed: int | np.random.Generator = 0,
     return params
 
 
-def params_copy(params: NetParams) -> NetParams:
-    return [(w.copy(), b.copy()) for w, b in params]
+def params_flatten(params: NetParams) -> np.ndarray:
+    """One contiguous float64 copy of params: W0, b0, W1, b1, ... row-major."""
+    return np.concatenate([a.ravel() for pair in params for a in pair])
 
 
-def params_zeros_like(params: NetParams) -> NetParams:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+def params_views(spec: NetSpec, theta: np.ndarray) -> NetParams:
+    """Per-layer (W, b) views into a buffer laid out as `params_flatten` writes it."""
+    params, start = [], 0
+    for n_in, n_out in spec.layer_dims:
+        w = theta[start:start + n_in * n_out].reshape(n_in, n_out)
+        start += n_in * n_out
+        params.append((w, theta[start:start + n_out]))
+        start += n_out
+    return params
 
 
 def _stack_inputs(spec: NetSpec, x, t) -> np.ndarray:

@@ -1,27 +1,35 @@
-"""Adam optimization and the three-stage hierarchical training schedule.
+"""Adam optimization and the staged training schedule.
 
-Stage one fits the boundary data (split per-variable loss), stage two the
-initial-condition data starting from the stage-one parameters, and stage
-three the full weighted coupled loss starting from the stage-two
-parameters. Baselines reuse the same machinery: `pinn` runs one coupled
-stage with head-channel outputs and the unconverted residual operators;
-`dnn` runs one data-only stage (standard per-variable MSE).
+Every baseline is a schedule of stages, `(stage_id, kind, iterations,
+form)`, run by one stage loop. A stage kind names an ordered
+`{term: weight}` objective over the loss terms bc, ic, con and mo. `kih`
+runs three stages: `bc` fits the boundary data (split per-variable loss)
+from a random initialization, `ic` the initial-condition data, and
+`coupled` the full weighted coupled loss, each starting from the previous
+stage's parameters. `pinn` runs one `coupled` stage with head-channel
+outputs and the unconverted residual operators; `dnn` runs one `data`
+stage (boundary plus initial data, standard per-variable MSE).
+
+Parameters live in one contiguous float64 buffer for the whole run.
+Forwards and the returned `params` are per-layer (W, b) views into it, and
+Adam updates it as one vector.
 
 Each stage returns the best parameters seen on its own objective,
-evaluated on fixed full/eval point sets at the stage boundaries and every
-`EVAL_EVERY` iterations, so a stage can never hand off parameters worse
-than the ones it received.
+evaluated on fixed eval sets at stage start, every `EVAL_EVERY` iterations
+and at stage end, so a stage can never hand off parameters worse than the
+ones it received.
 
 An iteration computes only the terms of its stage objective, on the
 current batch. The trace's other loss columns hold the latest values of
-those terms on the fixed eval sets, measured in the same pass as the
-objective evaluation.
+those terms on the fixed eval sets, refreshed at stage start and every
+`EVAL_EVERY` iterations; the stage-end evaluation computes only the
+objective.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,7 @@ from .losses import (
     residuals,
     taped_data_loss,
     taped_physics_losses,
+    _mean_sq,
     _observed_first_channel,
 )
 from .network import (
@@ -43,9 +52,9 @@ from .network import (
     NetSpec,
     init_params,
     net_forward,
-    params_copy,
+    params_flatten,
     params_to_vars,
-    params_zeros_like,
+    params_views,
 )
 from .autodiff.tape import Tape
 
@@ -223,32 +232,31 @@ class TrainTrace:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros(cls, params) -> "AdamState":
-        return cls(m=params_zeros_like(params), v=params_zeros_like(params))
+    def zeros(cls, n: int) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
+def adam_step(theta, grad, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard Adam update with bias correction; mutates params and state."""
-    for gw, gb in grads:
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericalBlowupError("non-finite gradient in Adam step")
+    """Standard Adam update with bias correction on flat parameter and
+    gradient vectors; mutates theta and state."""
+    if not np.all(np.isfinite(grad)):
+        raise NumericalBlowupError("non-finite gradient in Adam step")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(params, grads, state.m, state.v):
-        for arr, g, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            arr -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return params, state
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return theta, state
 
 
 class _FamilyBatcher:
@@ -272,170 +280,156 @@ class _FamilyBatcher:
         return idx
 
 
-def _eval_data_terms(spec, params, x, t, P_obs, v_obs, coeffs, form):
-    """Tape-free data loss plus its per-channel terms (first channel, velocity)."""
-    y1, v = net_forward(spec, params, x, t)
-    obs = _observed_first_channel(P_obs, spec, coeffs)
-    total = float(data_misfit(y1, v, obs, v_obs, form))
-    m1, m2 = data_misfit_terms(y1, v, obs, v_obs)
-    return total, (m1, m2)
-
-
-def _eval_physics_losses(spec, params, x, t, coeffs) -> tuple[float, float]:
-    from .losses import _mean_sq
-
-    g_mo, g_con = residuals(spec, params, coeffs, x, t)
-    return float(_mean_sq(g_con)), float(_mean_sq(g_mo))
-
-
-@dataclass(frozen=True)
-class _LossTerms:
-    """The four loss terms plus the per-channel boundary diagnostics."""
-
-    bc: float
-    ic: float
-    con: float
-    mo: float
-    bc_first: float
-    bc_velocity: float
-
-
 @dataclass
 class _StageContext:
     """Fixed evaluation sets and batchers for one stage (seeded per stage)."""
 
-    bc_batcher: _FamilyBatcher
-    ic_batcher: _FamilyBatcher
-    f_batcher: _FamilyBatcher
+    batchers: dict  # family ('bc', 'ic', 'f') -> _FamilyBatcher
     f_eval_idx: np.ndarray
 
 
 def _stage_context(cfg: TrainConfig, data: TrainingData, stage_id: int) -> _StageContext:
     seq = np.random.SeedSequence((cfg.seed, stage_id))
     s_bc, s_ic, s_f, s_eval = [np.random.default_rng(s) for s in seq.spawn(4)]
-    n_f = data.colloc.n_f
-    n_eval = min(EVAL_COLLOCATION_POINTS, n_f)
-    f_eval_idx = np.sort(s_eval.choice(n_f, size=n_eval, replace=False))
+    c = data.colloc
+    n_eval = min(EVAL_COLLOCATION_POINTS, c.n_f)
+    f_eval_idx = np.sort(s_eval.choice(c.n_f, size=n_eval, replace=False))
     return _StageContext(
-        bc_batcher=_FamilyBatcher(data.colloc.n_bc, cfg.batch_size, s_bc),
-        ic_batcher=_FamilyBatcher(data.colloc.n_ic, cfg.batch_size, s_ic),
-        f_batcher=_FamilyBatcher(n_f, cfg.batch_size, s_f),
+        batchers={"bc": _FamilyBatcher(c.n_bc, cfg.batch_size, s_bc),
+                  "ic": _FamilyBatcher(c.n_ic, cfg.batch_size, s_ic),
+                  "f": _FamilyBatcher(c.n_f, cfg.batch_size, s_f)},
         f_eval_idx=f_eval_idx,
     )
 
 
-def _taped_family_loss(spec, pvars, data: TrainingData, family: str, idx, form):
-    """Taped data loss on rows `idx` of the 'bc' or 'ic' family."""
-    c = data.colloc
-    x, t, P, v = (getattr(c, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
-    return taped_data_loss(spec, pvars, x, t, P, v, data.coeffs, form)
+LOSS_TERMS = ("bc", "ic", "con", "mo")
 
 
-def _stage_eval(kind: str, cfg: TrainConfig, spec, params, data: TrainingData,
-                ctx: _StageContext, form: str) -> tuple[float, _LossTerms]:
-    """Stage objective and every loss term on the stage's fixed eval sets.
-
-    The full boundary and initial sets, and the `f_eval_idx` collocation
-    subset. Data terms use the 'split' form in the `bc`/`ic` stages and the
-    stage form otherwise.
-    """
-    if kind not in ("bc", "ic", "coupled", "data"):
+def _objective(kind: str, w: LossWeights) -> dict:
+    """Ordered {term: weight} that a stage kind minimizes."""
+    objectives = {
+        "bc": {"bc": 1.0},
+        "ic": {"ic": 1.0},
+        "data": {"bc": w.bc, "ic": w.ic},
+        "coupled": {"bc": w.bc, "ic": w.ic, "con": w.con, "mo": w.mo},
+    }
+    if kind not in objectives:
         raise ConfigError(f"unknown stage kind {kind!r}")
+    return objectives[kind]
+
+
+def _weighted_sum(objective: dict, terms: dict):
+    """Sum of weight * term in objective order. A lone term is taken as is,
+    recording no scale node on the tape."""
+    if len(objective) == 1:
+        (name,) = objective
+        return terms[name]
+    total = None
+    for name, weight in objective.items():
+        part = weight * terms[name]
+        total = part if total is None else total + part
+    return total
+
+
+def _family(colloc: CollocationSet, family: str, idx=slice(None)):
+    """(x, t, P_obs, v_obs) rows `idx` of the 'bc' or 'ic' family."""
+    return tuple(getattr(colloc, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
+
+
+def _batch_terms(names, spec, pvars, data: TrainingData, ctx: _StageContext, form):
+    """Taped terms `names` on each family's next batch, plus the per-channel
+    boundary diagnostics when the boundary term is among them."""
     c = data.colloc
-    data_form = "split" if kind in ("bc", "ic") else form
-    bc, (d1, d2) = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                                    data.coeffs, data_form)
-    ic, _ = _eval_data_terms(spec, params, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
-                             data.coeffs, data_form)
-    idx = ctx.f_eval_idx
-    con, mo = _eval_physics_losses(spec, params, c.x_f[idx], c.t_f[idx], data.coeffs)
-    terms = _LossTerms(bc=bc, ic=ic, con=con, mo=mo,
-                       bc_first=float(d1), bc_velocity=float(d2))
-    w = cfg.weights
-    if kind == "bc":
-        return bc, terms
-    if kind == "ic":
-        return ic, terms
-    if kind == "data":
-        return w.bc * bc + w.ic * ic, terms
-    return w.bc * bc + w.ic * ic + w.con * con + w.mo * mo, terms
+    terms, diagnostics = {}, {}
+    for family in ("bc", "ic"):
+        if family in names:
+            x, t, P, v = _family(c, family, ctx.batchers[family].next())
+            terms[family], (d1, d2) = taped_data_loss(spec, pvars, x, t, P, v,
+                                                      data.coeffs, form)
+            if family == "bc":
+                diagnostics = {"bc_first": float(d1), "bc_velocity": float(d2)}
+    if "con" in names:
+        idx = ctx.batchers["f"].next()
+        terms["con"], terms["mo"] = taped_physics_losses(spec, pvars, c.x_f[idx],
+                                                         c.t_f[idx], data.coeffs)
+    return terms, diagnostics
+
+
+def _eval_terms(names, spec, params, data: TrainingData, ctx: _StageContext, form) -> dict:
+    """Tape-free terms `names` on the stage's fixed eval sets (the full
+    boundary and initial sets, the `f_eval_idx` collocation subset), plus
+    the per-channel boundary diagnostics when the boundary term is among them."""
+    c = data.colloc
+    terms = {}
+    for family in ("bc", "ic"):
+        if family in names:
+            x, t, P, v_obs = _family(c, family)
+            y1, v = net_forward(spec, params, x, t)
+            obs = _observed_first_channel(P, spec, data.coeffs)
+            terms[family] = float(data_misfit(y1, v, obs, v_obs, form))
+            if family == "bc":
+                terms["bc_first"], terms["bc_velocity"] = data_misfit_terms(y1, v, obs, v_obs)
+    if "con" in names:
+        idx = ctx.f_eval_idx
+        g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
+        terms["con"], terms["mo"] = float(_mean_sq(g_con)), float(_mean_sq(g_mo))
+    return terms
 
 
 def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
-               spec: NetSpec, params, data: TrainingData, trace: TrainTrace,
-               start_iteration: int, form: str | None = None,
+               spec: NetSpec, theta: np.ndarray, data: TrainingData,
+               trace: TrainTrace, start_iteration: int, form: str | None = None,
                log_every: int = 0, log=print):
-    """Optimize one stage objective; returns (best_params, next_iteration).
+    """Optimize one stage objective over the flat parameter buffer `theta`.
 
-    kind: 'bc' | 'ic' | 'coupled' | 'data'. Each iteration draws, forwards
-    and differentiates only the families its objective uses: `bc` the
-    boundary batch, `ic` the initial batch, `data` both, `coupled` all
-    three. Trace columns outside the objective (and `bc_first`/
+    Updates `theta` in place and returns (best, next_iteration), `best`
+    being a flat copy of the best parameters seen on the objective.
+
+    kind: 'bc' | 'ic' | 'data' | 'coupled' (see `_objective`). Each
+    iteration draws, forwards and differentiates only the families its
+    objective names. Trace columns outside the objective (and `bc_first`/
     `bc_velocity` in the `ic` stage) hold the latest values measured on the
-    stage's fixed eval sets, refreshed with every objective evaluation: at
-    stage start, every `EVAL_EVERY` iterations and at stage end.
+    stage's fixed eval sets, refreshed at stage start and every
+    `EVAL_EVERY` iterations. The stage-end evaluation computes only the
+    objective. An `ic` stage warns when it grew the boundary loss by more
+    than `cfg.bc_retention_factor`.
     """
     ctx = _stage_context(cfg, data, stage_id)
-    c = data.colloc
-    w = cfg.weights
-    if form is None:
-        form = cfg.bc_loss_form
+    objective = _objective(kind, cfg.weights)
+    form = cfg.bc_loss_form if form is None else form
+    params = params_views(spec, theta)
 
-    start_obj, held = _stage_eval(kind, cfg, spec, params, data, ctx, form)
-    best_obj = start_obj
-    best_params = params_copy(params)
-    adam = AdamState.zeros(params)
+    held = _eval_terms(LOSS_TERMS, spec, params, data, ctx, form)
+    bc_before = held["bc"]
+    start_obj = best_obj = _weighted_sum(objective, held)
+    best = theta.copy()
+    adam = AdamState.zeros(theta.size)
     lr = cfg.learning_rate
 
-    it = start_iteration
     for k in range(iterations):
+        it = start_iteration + k
         tape = Tape()
         pvars = params_to_vars(tape, params)
-        flat_vars = [v for pair in pvars for v in pair]
-
-        if kind == "bc":
-            loss_var, (d1, d2) = _taped_family_loss(spec, pvars, data, "bc",
-                                                    ctx.bc_batcher.next(), "split")
-            terms = replace(held, bc=float(loss_var.value),
-                            bc_first=float(d1), bc_velocity=float(d2))
-        elif kind == "ic":
-            loss_var, _ = _taped_family_loss(spec, pvars, data, "ic",
-                                             ctx.ic_batcher.next(), "split")
-            terms = replace(held, ic=float(loss_var.value))
-        else:
-            bc_var, (d1, d2) = _taped_family_loss(spec, pvars, data, "bc",
-                                                  ctx.bc_batcher.next(), form)
-            ic_var, _ = _taped_family_loss(spec, pvars, data, "ic",
-                                           ctx.ic_batcher.next(), form)
-            terms = replace(held, bc=float(bc_var.value), ic=float(ic_var.value),
-                            bc_first=float(d1), bc_velocity=float(d2))
-            if kind == "data":
-                loss_var = w.bc * bc_var + w.ic * ic_var
-            else:
-                f_idx = ctx.f_batcher.next()
-                con_var, mo_var = taped_physics_losses(spec, pvars, c.x_f[f_idx],
-                                                       c.t_f[f_idx], data.coeffs)
-                terms = replace(terms, con=float(con_var.value), mo=float(mo_var.value))
-                loss_var = (w.bc * bc_var + w.ic * ic_var
-                            + w.con * con_var + w.mo * mo_var)
+        terms, diagnostics = _batch_terms(objective, spec, pvars, data, ctx, form)
+        loss_var = _weighted_sum(objective, terms)
+        row = {**held, **{name: float(var.value) for name, var in terms.items()},
+               **diagnostics}
 
         total = float(loss_var.value)
         if not np.isfinite(total) or total > cfg.divergence_threshold:
             raise TrainingDivergedError(
                 f"stage {stage_id} diverged at iteration {it}: loss={total:.4g} "
-                f"(bc={terms.bc:.4g}, ic={terms.ic:.4g}, con={terms.con:.4g}, "
-                f"mo={terms.mo:.4g})",
+                f"(bc={row['bc']:.4g}, ic={row['ic']:.4g}, con={row['con']:.4g}, "
+                f"mo={row['mo']:.4g})",
                 trace=trace,
             )
 
-        flat_grads = tape.gradients(loss_var, flat_vars)
-        grads = [(flat_grads[2 * i], flat_grads[2 * i + 1])
-                 for i in range(len(pvars))]
+        grads = tape.gradients(loss_var, [var for pair in pvars for var in pair])
         try:
-            adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(theta, np.concatenate([g.ravel() for g in grads]), adam, lr,
+                      cfg.beta1, cfg.beta2, cfg.eps)
         except NumericalBlowupError as exc:
-            values = {"bc": terms.bc, "ic": terms.ic, "con": terms.con, "mo": terms.mo}
-            bad = [name for name, val in values.items() if not np.isfinite(val)]
+            bad = [name for name in LOSS_TERMS if not np.isfinite(row[name])]
             raise NumericalBlowupError(
                 f"stage {stage_id} iteration {it}: {exc}; "
                 f"non-finite loss terms: {bad or 'none (gradient only)'}"
@@ -445,25 +439,36 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
         trace.rows.append(TraceRow(
             stage=stage_id, iteration=it,
-            loss_bc=terms.bc, loss_ic=terms.ic, loss_con=terms.con, loss_mo=terms.mo,
-            loss_total=total, bc_first=terms.bc_first, bc_velocity=terms.bc_velocity,
+            loss_bc=row["bc"], loss_ic=row["ic"], loss_con=row["con"], loss_mo=row["mo"],
+            loss_total=total, bc_first=row["bc_first"], bc_velocity=row["bc_velocity"],
         ))
-        it += 1
 
-        if (k + 1) % EVAL_EVERY == 0 or k + 1 == iterations:
-            obj, held = _stage_eval(kind, cfg, spec, params, data, ctx, form)
+        last = k + 1 == iterations
+        if last or (k + 1) % EVAL_EVERY == 0:
+            held.update(_eval_terms(objective if last else LOSS_TERMS, spec, params,
+                                    data, ctx, form))
+            obj = _weighted_sum(objective, held)
             if obj < best_obj:
                 best_obj = obj
-                best_params = params_copy(params)
+                best[:] = theta
         if log_every and (k + 1) % log_every == 0:
             log(f"stage {stage_id} iter {k + 1}/{iterations} "
-                f"total={total:.4e} bc={terms.bc:.4e} ic={terms.ic:.4e} "
-                f"con={terms.con:.4e} mo={terms.mo:.4e}")
+                f"total={total:.4e} bc={row['bc']:.4e} ic={row['ic']:.4e} "
+                f"con={row['con']:.4e} mo={row['mo']:.4e}")
 
     trace.stage_summaries.append(
         StageSummary(stage=stage_id, objective_start=start_obj,
                      objective_end=best_obj))
-    return best_params, it
+    if kind == "ic":
+        bc_after = _eval_terms(("bc",), spec, params_views(spec, best), data, ctx,
+                               form)["bc"]
+        if bc_after > cfg.bc_retention_factor * max(bc_before, 1e-300):
+            trace.warnings.append(
+                f"stage {stage_id} grew the boundary loss "
+                f"{bc_after / max(bc_before, 1e-300):.1f}x "
+                f"(from {bc_before:.3e} to {bc_after:.3e})"
+            )
+    return best, start_iteration + iterations
 
 
 def _make_spec(cfg: TrainConfig, data: TrainingData, output_mode: str) -> NetSpec:
@@ -476,64 +481,27 @@ def _make_spec(cfg: TrainConfig, data: TrainingData, output_mode: str) -> NetSpe
     )
 
 
-def train_stage_one(cfg: TrainConfig, data: TrainingData, trace: TrainTrace,
-                    log_every: int = 0, log=print):
-    """Boundary-data fit from random initialization; returns (spec, params, it)."""
-    spec = _make_spec(cfg, data, output_mode_for(cfg.baseline))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    params = init_params(spec, rng)
-    params, it = _run_stage(1, "bc", cfg.stage_iterations[0], cfg, spec, params,
-                            data, trace, 0, log_every=log_every, log=log)
-    return spec, params, it
-
-
-def train_stage_two(cfg: TrainConfig, data: TrainingData, spec: NetSpec, params,
-                    trace: TrainTrace, start_iteration: int = 0,
-                    log_every: int = 0, log=print):
-    """Initial-condition fit from the stage-one parameters."""
-    c = data.colloc
-    bc_before, _ = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                                    data.coeffs, "split")
-    params, it = _run_stage(2, "ic", cfg.stage_iterations[1], cfg, spec, params,
-                            data, trace, start_iteration,
-                            log_every=log_every, log=log)
-    bc_after, _ = _eval_data_terms(spec, params, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                                   data.coeffs, "split")
-    if bc_after > cfg.bc_retention_factor * max(bc_before, 1e-300):
-        trace.warnings.append(
-            f"stage 2 grew the boundary loss {bc_after / max(bc_before, 1e-300):.1f}x "
-            f"(from {bc_before:.3e} to {bc_after:.3e})"
-        )
-    return params, it
-
-
-def train_stage_three(cfg: TrainConfig, data: TrainingData, spec: NetSpec, params,
-                      trace: TrainTrace, start_iteration: int = 0,
-                      log_every: int = 0, log=print):
-    """Coupled-loss fit from the stage-two parameters."""
-    params, it = _run_stage(3, "coupled", cfg.stage_iterations[2], cfg, spec,
-                            params, data, trace, start_iteration,
-                            log_every=log_every, log=log)
-    return params, it
+def _schedule(cfg: TrainConfig) -> list:
+    """(stage_id, kind, iterations, form) of each stage the baseline runs."""
+    if cfg.baseline == "kih":
+        n_bc, n_ic, n_coupled = cfg.stage_iterations
+        return [(1, "bc", n_bc, "split"), (2, "ic", n_ic, "split"),
+                (3, "coupled", n_coupled, cfg.bc_loss_form)]
+    if cfg.baseline == "pinn":
+        return [(1, "coupled", cfg.total_iterations, cfg.bc_loss_form)]
+    return [(1, "data", cfg.total_iterations, "split")]
 
 
 def train(cfg: TrainConfig, data: TrainingData, log_every: int = 0, log=print):
-    """Dispatch on the baseline tag; returns (spec, params, trace)."""
-    trace = TrainTrace()
-    if cfg.baseline == "kih":
-        spec, params, it = train_stage_one(cfg, data, trace, log_every, log)
-        params, it = train_stage_two(cfg, data, spec, params, trace, it,
-                                     log_every, log)
-        params, _ = train_stage_three(cfg, data, spec, params, trace, it,
-                                      log_every, log)
-        return spec, params, trace
-
+    """Run the baseline's stage schedule from a seeded initialization;
+    returns (spec, params, trace), params viewing the run's flat buffer."""
     spec = _make_spec(cfg, data, output_mode_for(cfg.baseline))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    params = init_params(spec, rng)
-    kind = "coupled" if cfg.baseline == "pinn" else "data"
-    form = cfg.bc_loss_form if cfg.baseline == "pinn" else "split"
-    params, _ = _run_stage(1, kind, cfg.total_iterations, cfg, spec, params,
-                           data, trace, 0, form=form,
-                           log_every=log_every, log=log)
-    return spec, params, trace
+    theta = params_flatten(init_params(spec, rng))
+    trace = TrainTrace()
+    it = 0
+    for stage_id, kind, iterations, form in _schedule(cfg):
+        best, it = _run_stage(stage_id, kind, iterations, cfg, spec, theta, data,
+                              trace, it, form, log_every, log)
+        theta[:] = best
+    return spec, params_views(spec, theta), trace

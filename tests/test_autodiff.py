@@ -3,8 +3,6 @@ import pytest
 
 from hydropinn.autodiff.dual import (
     Dual,
-    dual_exp,
-    dual_sin,
     dual_softplus,
     sigmoid,
     softplus,
@@ -55,12 +53,6 @@ class TestDual:
         d = abs(Dual.seed(np.array([-2.0, 0.0, 3.0]), 1.0, 0.0))
         assert np.array_equal(d.value, [2.0, 0.0, 3.0])
         assert np.array_equal(d.tangent_x, [-1.0, 0.0, 1.0])
-
-    def test_exp_sin(self, rng):
-        x0 = rng.normal()
-        y = dual_exp(dual_sin(Dual.seed(x0, 1.0, 0.0)))
-        assert y.tangent_x == pytest.approx(np.cos(x0) * np.exp(np.sin(x0)),
-                                            rel=1e-12)
 
 
 class TestForwardTangents:

@@ -14,6 +14,7 @@ import pytest
 
 import hydropinn.adcheck
 from hydropinn.adcheck import adcheck_from_config
+from hydropinn.metrics import compare
 from hydropinn.training import TrainConfig, TrainingData, load_train_config, train
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +27,27 @@ import worker  # noqa: E402
 def test_every_wrapped_site_exists():
     for owner, attr, name, _, _ in tracer.WRAP_SITES:
         assert hasattr(owner, attr), f"{owner.__name__}.{attr} ({name})"
+
+
+def test_traced_operations_reach_every_expected_site(monkeypatch, desk_dataset):
+    for owner, attr, *_ in tracer.WRAP_SITES:
+        # registers the original, which teardown puts back over the wrapper
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tr = tracer.Tracer()
+    tr.install()
+    tr.enabled = True
+    field, meta = desk_dataset
+    data = TrainingData.from_dataset(field, meta)
+    for baseline, iterations in (("kih", None), ("dnn", 6)):
+        cfg = TrainConfig(baseline=baseline, hidden_layers=2, width=8,
+                          stage_iterations=(4, 3, 5), iterations=iterations,
+                          batch_size=16)
+        spec, params, _ = train(cfg, data)
+        compare([(baseline, spec, params)], field, meta)
+    adcheck_from_config(load_train_config(ROOT / "configs" / "kih.json"), order=4,
+                        h=worker.ADCHECK_H, tolerance=1e-5, max_coordinates=3,
+                        coord_seed=7)
+    assert tr.missing_sites() == []
 
 
 def test_adcheck_call_pattern(monkeypatch):

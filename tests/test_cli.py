@@ -121,6 +121,13 @@ class TestTrainEvalCompare:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 4  # two models x two quantities
 
+    def test_compare_segment_break_outside_pipe(self, checkpoint, tiny_dataset,
+                                                capsys):
+        code = main(["compare", str(checkpoint), str(tiny_dataset),
+                     "--segment-breaks", "60000"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+
     def test_compare_missing_checkpoint(self, tiny_dataset, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "absent.npz"),
                      str(tiny_dataset)])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hydropinn.dataset import DatasetMeta
-from hydropinn.errors import DomainError
+from hydropinn.errors import ConfigError, DomainError
 from hydropinn.metrics import (
     MetricsReport,
     MetricsRow,
+    _segment_columns,
     compare,
     evaluate_model,
     mape,
@@ -15,7 +16,7 @@ from hydropinn.metrics import (
     residual_series,
     rmse,
 )
-from hydropinn.moc import FieldGrid
+from hydropinn.moc import FieldGrid, interior_column_indices
 from hydropinn.network import InputScaler, NetSpec
 
 
@@ -174,6 +175,36 @@ class TestCompare:
         segments = {r.segment for r in report.rows}
         assert segments == {"0-25km", "25-50km"}
         assert len(report.rows) == 4
+
+    @pytest.mark.parametrize("breaks, names, counts", [
+        (None, ["all"], [48]),
+        ([20_000.0], ["0-20km", "20-50km"], [19, 29]),
+        ([35_000.0, 20_000.0], ["0-20km", "20-35km", "35-50km"], [19, 14, 15]),
+        ([500.0, 49_500.0], ["0.5-49.5km"], [48]),
+    ])
+    def test_segments_partition_interior_columns(self, desk_dataset, breaks,
+                                                 names, counts):
+        # desk grid: 51 columns at 1 km, 48 interior (no 0, 25 or 50 km)
+        field, meta = desk_dataset
+        length = meta.pipe.length
+        interior = interior_column_indices(field.xs, length, meta.offtake_x)
+        segments = _segment_columns(field.xs, interior, length, breaks)
+        assert [name for name, _ in segments] == names
+        assert [cols.size for _, cols in segments] == counts
+        assert sum(counts) == interior.size
+        assert np.array_equal(np.sort(np.concatenate([c for _, c in segments])),
+                              interior)
+
+    @pytest.mark.parametrize("breaks", [
+        [60_000.0], [50_000.0], [0.0], [-1_000.0], [20_000.0, 20_000.0]])
+    def test_bad_segment_breaks_rejected(self, desk_dataset, breaks):
+        field, meta = desk_dataset
+        spec = NetSpec(hidden_layers=1, width=2, activation="identity",
+                       scaler=InputScaler(0.0, meta.pipe.length, 0.0, 600.0))
+        params = [(np.zeros((2, 2)), np.zeros(2)),
+                  (np.zeros((2, 2)), np.array([1.5, 0.8]))]
+        with pytest.raises(ConfigError):
+            compare([("const", spec, params)], field, meta, segment_breaks=breaks)
 
     def test_csv_schema_and_stability(self, desk_dataset):
         field, meta = desk_dataset

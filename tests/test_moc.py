@@ -3,6 +3,7 @@ import pytest
 
 from hydropinn.errors import DomainError, GridError
 from hydropinn.hydraulics import (
+    PipelineSpec,
     flowrate_to_velocity,
     friction_factor,
     pressure_to_head,
@@ -183,6 +184,55 @@ class TestRun:
         V = np.zeros(grid.node_count)
         with pytest.raises(NumericalBlowupError):
             moc_step(H, V, 100.0, 0.0, grid.wave_speed / pipe.gravity, 0.0)
+
+
+class TestClosedForm:
+    """Instant valve closure at the outlet of the desk line with friction
+    ~0, against water-hammer theory."""
+
+    CLOSE_AT = 10.0  # s; the outlet flow reaches zero one step later
+    DT = 0.5
+
+    @pytest.fixture(scope="class")
+    def closure(self, fluid):
+        pipe = PipelineSpec(length=50_000.0, diameter=0.25, friction_factor=1e-12)
+        sc = Scenario(pipe=pipe, fluid=fluid, duration=120.0,
+                      inlet_pressure=PiecewiseSignal.constant(1.48),
+                      outlet_flowrate=PiecewiseSignal.from_breakpoints(
+                          [[0.0, Q_START], [self.CLOSE_AT, Q_START],
+                           [self.CLOSE_AT + self.DT, 0.0]]))
+        field, grid, _ = run_details(sc, self.DT)
+        j = int(np.flatnonzero(field.ts == self.CLOSE_AT)[0])
+        return field, grid, pipe, j
+
+    def test_joukowsky_surge(self, fluid, closure):
+        field, grid, pipe, j = closure
+        v0 = float(flowrate_to_velocity(Q_START, pipe.diameter))
+        surge = field.P[j + 1, -1] - field.P[j, -1]
+        assert surge == pytest.approx(fluid.density * grid.wave_speed * v0 / 1e6,
+                                      rel=1e-6)
+
+    def test_first_pressure_reversal_after_two_transits(self, fluid, closure):
+        # the surge reflects off the constant-head inlet and returns to the
+        # valve as a pressure drop below the pre-closure value after 2L/a
+        field, _, pipe, j = closure
+        valve = field.P[:, -1]
+        after = np.flatnonzero((np.arange(valve.size) > j) & (valve < valve[j]))
+        reversal = field.ts[after[0]] - field.ts[j + 1]
+        assert reversal == pytest.approx(2.0 * pipe.length / wave_speed(fluid, pipe),
+                                         rel=0.01)
+
+    def test_steady_boundaries_hold_to_round_off(self, fluid, pipe, closure):
+        field, *_ = closure
+        assert np.max(np.abs(field.P[:, 0] - 1.48)) <= 1e-12
+        # with Darcy friction the linear steady profile is a fixed point of
+        # the scheme, so constant boundaries leave the field unchanged
+        sc = Scenario(pipe=pipe, fluid=fluid, duration=300.0,
+                      inlet_pressure=PiecewiseSignal.constant(1.48),
+                      outlet_flowrate=PiecewiseSignal.constant(Q_START))
+        steady = run(sc, self.DT)
+        assert np.max(np.abs(steady.P - steady.P[0])) <= 1e-12
+        assert np.max(np.abs(steady.v - steady.v[0])) <= 1e-12
 
 
 class TestSample:

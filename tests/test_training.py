@@ -6,7 +6,7 @@ from hydropinn.dataset import DatasetMeta
 from hydropinn.errors import ConfigError, NumericalBlowupError
 from hydropinn.losses import LossWeights, loss_bc, loss_ic, residuals
 from hydropinn.moc import export_grid, sample
-from hydropinn.network import init_params, net_forward, params_copy
+from hydropinn.network import init_params, net_forward, params_flatten, params_views
 from hydropinn.training import (
     AdamState,
     TrainConfig,
@@ -18,9 +18,6 @@ from hydropinn.training import (
     adam_step,
     output_mode_for,
     train,
-    train_stage_one,
-    train_stage_three,
-    train_stage_two,
 )
 
 
@@ -43,44 +40,43 @@ def tiny_data(ramp_scenario, moc_field):
 
 class TestAdam:
     def _params(self):
-        return [(np.array([[1.0, 2.0]]), np.array([0.5]))]
+        return np.array([1.0, 2.0, 0.5])
 
     def test_zero_gradient_keeps_params(self):
         params = self._params()
-        before = params_copy(params)
-        state = AdamState.zeros(params)
-        grads = [(np.zeros((1, 2)), np.zeros(1))]
+        before = params.copy()
+        state = AdamState.zeros(params.size)
+        grads = np.zeros(3)
         adam_step(params, grads, state, lr=0.1)
-        assert np.array_equal(params[0][0], before[0][0])
-        assert np.array_equal(params[0][1], before[0][1])
+        assert np.array_equal(params, before)
         assert state.t == 1
 
     def test_constant_gradient_step_approaches_lr(self):
         params = self._params()
-        state = AdamState.zeros(params)
-        grads = [(np.full((1, 2), 0.37), np.full(1, -0.11))]
+        state = AdamState.zeros(params.size)
+        grads = np.array([0.37, 0.37, -0.11])
         lr = 0.01
-        prev = params[0][0].copy()
+        prev = params.copy()
         for _ in range(300):
-            prev = params[0][0].copy()
+            prev = params.copy()
             adam_step(params, grads, state, lr=lr)
-        step = prev - params[0][0]
+        step = prev - params
         # with a constant gradient Adam's step tends to lr * sign(g)
-        assert np.allclose(step, lr * np.sign(grads[0][0]), rtol=1e-3)
+        assert np.allclose(step, lr * np.sign(grads), rtol=1e-3)
 
     def test_scalar_quadratic_converges(self):
         # minimize (theta - 3)^2 against a hand-rolled reference
-        params = [(np.array([[0.0]]), np.zeros(1))]
-        state = AdamState.zeros(params)
+        params = np.zeros(2)
+        state = AdamState.zeros(params.size)
         for _ in range(2000):
-            g = 2.0 * (params[0][0] - 3.0)
-            adam_step(params, [(g, np.zeros(1))], state, lr=0.01)
-        assert params[0][0][0, 0] == pytest.approx(3.0, abs=1e-3)
+            g = np.array([2.0 * (params[0] - 3.0), 0.0])
+            adam_step(params, g, state, lr=0.01)
+        assert params[0] == pytest.approx(3.0, abs=1e-3)
 
     def test_non_finite_gradient_rejected(self):
         params = self._params()
-        state = AdamState.zeros(params)
-        grads = [(np.array([[np.nan, 0.0]]), np.zeros(1))]
+        state = AdamState.zeros(params.size)
+        grads = np.array([np.nan, 0.0, 0.0])
         with pytest.raises(NumericalBlowupError):
             adam_step(params, grads, state, lr=0.01)
 
@@ -111,13 +107,11 @@ class TestStages:
     def test_zero_iterations_returns_initialization(self, tiny_data):
         cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(0, 0, 0),
                           seed=3)
-        trace = TrainTrace()
-        spec, params, it = train_stage_one(cfg, tiny_data, trace)
+        spec, params, trace = train(cfg, tiny_data)
         ref = init_params(spec, np.random.default_rng(np.random.SeedSequence((3, 0))))
         for (w, b), (wr, br) in zip(params, ref):
             assert np.array_equal(w, wr)
             assert np.array_equal(b, br)
-        assert it == 0
         assert trace.rows == []
 
     def test_stage_handoff_never_worse(self, tiny_cfg, tiny_data):
@@ -165,22 +159,17 @@ class TestStages:
 
     def test_stage3_zero_physics_equals_data_run(self, tiny_data):
         """With zero physics weights stage three is exactly a joint data fit."""
-        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(20, 10, 50),
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(20, 10, 0),
                           batch_size=32, seed=4,
                           weights=LossWeights(1.0, 1.0, 0.0, 0.0))
-        trace_a = TrainTrace()
-        spec, p0, it = train_stage_one(cfg, tiny_data, trace_a)
-        p0 = params_copy(p0)
-        p1, it = train_stage_two(cfg, tiny_data, spec, p0, trace_a, it)
-        start = params_copy(p1)
+        spec, p1, _ = train(cfg, tiny_data)
+        start = params_flatten(p1)
 
-        coupled, _ = _run_stage(3, "coupled", 50, cfg, spec, params_copy(start),
+        coupled, _ = _run_stage(3, "coupled", 50, cfg, spec, start.copy(),
                                 tiny_data, TrainTrace(), 0)
-        data_only, _ = _run_stage(3, "data", 50, cfg, spec, params_copy(start),
+        data_only, _ = _run_stage(3, "data", 50, cfg, spec, start.copy(),
                                   tiny_data, TrainTrace(), 0)
-        for (w1, b1), (w2, b2) in zip(coupled, data_only):
-            assert np.array_equal(w1, w2)
-            assert np.array_equal(b1, b2)
+        assert np.array_equal(coupled, data_only)
 
 
 class TestBaselines:
@@ -264,9 +253,12 @@ class TestOffObjectiveTerms:
             monkeypatch.setattr(training, name, counted)
         monkeypatch.setattr(training, "EVAL_EVERY", 10)
         spec, params = start
-        _run_stage(1, kind, 25, tiny_cfg, spec, params, tiny_data, TrainTrace(), 0)
-        # stage start, iterations 10 and 20, stage end
-        assert calls == {"residuals": 4, "taped_physics_losses": taped_physics}
+        _run_stage(1, kind, 25, tiny_cfg, spec, params_flatten(params), tiny_data,
+                   TrainTrace(), 0)
+        # stage start, iterations 10 and 20; the stage-end evaluation computes
+        # only the objective, which has physics terms in `coupled` alone
+        evals = 4 if kind == "coupled" else 3
+        assert calls == {"residuals": evals, "taped_physics_losses": taped_physics}
 
     def _eval_set_values(self, cfg, data, spec, params, stage_id):
         c = data.colloc
@@ -283,13 +275,13 @@ class TestOffObjectiveTerms:
         bc0, ic0, con0, mo0 = self._eval_set_values(tiny_cfg, tiny_data, spec,
                                                     params, 1)
         trace = TrainTrace()
-        _run_stage(1, "bc", 20, tiny_cfg, spec, params_copy(params), tiny_data,
+        _run_stage(1, "bc", 20, tiny_cfg, spec, params_flatten(params), tiny_data,
                    trace, 0)
         # `params` after ten iterations: the values of the first refresh
-        stepped = params_copy(params)
+        stepped = params_flatten(params)
         _run_stage(1, "bc", 10, tiny_cfg, spec, stepped, tiny_data, TrainTrace(), 0)
         _, ic10, con10, mo10 = self._eval_set_values(tiny_cfg, tiny_data, spec,
-                                                     stepped, 1)
+                                                     params_views(spec, stepped), 1)
         for r in trace.rows[:10]:
             assert (r.loss_ic, r.loss_con, r.loss_mo) == (ic0, con0, mo0)
         for r in trace.rows[10:]:
@@ -302,7 +294,7 @@ class TestOffObjectiveTerms:
     def test_stage_two_holds_boundary_columns(self, tiny_cfg, tiny_data, start):
         spec, params = start
         trace = TrainTrace()
-        _run_stage(2, "ic", 15, tiny_cfg, spec, params_copy(params), tiny_data,
+        _run_stage(2, "ic", 15, tiny_cfg, spec, params_flatten(params), tiny_data,
                    trace, 0)
         c = tiny_data.colloc
         y1, v = net_forward(spec, params, c.x_bc, c.t_bc)
