@@ -4,8 +4,9 @@ Builds a synthetic coupled-loss problem (random sample points, random but
 plausible targets), computes the parameter gradient with the reverse tape,
 and checks it against central finite differences of a tape-free evaluation
 of the same loss. The two sides go through independent code paths: the
-probe re-evaluates the loss with the plain/dual forward passes while the
-gradient comes from the taped forward.
+probe re-evaluates the loss with the tape-free forward kernel
+(`net_forward`, and `forward_with_input_tangents` through `residuals`)
+while the gradient comes from the taped forward.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
-from .dual import Dual, dual_softplus, sigmoid, softplus
+from .activations import sigmoid, softplus
 from .fdcheck import FdReport, fd_check
 from .tape import Tape, Var, tape_softplus
 
 __all__ = [
-    "Dual",
-    "dual_softplus",
     "sigmoid",
     "softplus",
     "FdReport",

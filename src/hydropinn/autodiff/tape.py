@@ -2,8 +2,8 @@
 
 Recording happens through Var operators; nodes keep (op code, parent
 indices, local partials) and a single reverse sweep fills the adjoint
-buffer. The network forward pass records the dual-number chain rules as
-ordinary tape ops, so losses built from input derivatives (PDE residuals)
+buffer. The network forward pass records the forward-mode chain rules
+for the input tangents as ordinary tape ops, so losses built from input derivatives (PDE residuals)
 backpropagate to the parameters through the tangent computation itself --
 forward-over-reverse without nested tapes.
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import softplus_and_sigmoid
+from .activations import softplus_and_sigmoid
 
 
 @dataclass

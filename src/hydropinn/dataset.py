@@ -77,17 +77,35 @@ def write_dataset(field: FieldGrid, meta: DatasetMeta, path) -> None:
     meta_path(path).write_text(json.dumps(meta.to_dict(), indent=2) + "\n")
 
 
+def _malformed_row(lines: list[str]) -> str:
+    """The first data line (numbered from the header, line 1) that is not
+    four comma-separated numbers."""
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            if len([float(cell) for cell in line.split(",")]) == 4:
+                continue
+        except ValueError:
+            pass
+        return f"line {number} ({line.strip()!r})"
+    return "a data row"
+
+
 def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ConfigError(f"{path} is not a dataset CSV (expected header '{CSV_HEADER}')")
-    rows = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:] if line],
-        dtype=float,
-    )
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ConfigError(f"{path} has malformed rows")
+    if not any(line.strip() for line in lines[1:]):
+        raise ConfigError(f"{path} has no data rows")
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 4:
+        raise ConfigError(f"{path}: {_malformed_row(lines)} is not four "
+                          "comma-separated numbers")
     xs = np.unique(rows[:, 0])
     nx = xs.size
     if rows.shape[0] % nx != 0:

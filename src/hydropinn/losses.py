@@ -7,8 +7,9 @@ m/s). The pressure-form residual equals rho*g/1e6 times the head-form
 residual under h = 1e6*P/(rho*g); a test suite pins that identity.
 
 The residual cores are written once over a generic operand type: they
-accept plain numpy arrays (evaluation via forward-mode duals) or tape
-variables (training), since both support the same operators. Reductions
+accept plain numpy arrays (evaluation, with input derivatives from the
+tape-free `forward_with_input_tangents`) or tape variables (training),
+since both support the same operators. Reductions
 are fixed-order numpy means, keeping loss values deterministic.
 """
 

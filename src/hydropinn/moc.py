@@ -198,19 +198,17 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     P_out[0] = profile.pressure
     v_out[0] = V
 
+    # boundary signals at every step, evaluated once
+    inlet_heads = pressure_to_head(scenario.inlet_pressure(ts), fluid.density,
+                                   pipe.gravity).tolist()
+    outlet_vs = flowrate_to_velocity(scenario.outlet_flowrate(ts), pipe.diameter).tolist()
+    off_vs = ((offtake_signal(ts) / area).tolist() if offtake_signal is not None
+              else [0.0] * ts.size)
     for j in range(1, n_steps + 1):
-        t = j * dt
-        inlet_head = float(pressure_to_head(float(scenario.inlet_pressure(t)),
-                                            fluid.density, pipe.gravity))
-        outlet_v = float(flowrate_to_velocity(float(scenario.outlet_flowrate(t)),
-                                              pipe.diameter))
-        off_v = 0.0
-        if offtake_signal is not None:
-            off_v = float(offtake_signal(t)) / area
         try:
-            H, V = moc_step(H, V, inlet_head, outlet_v, B, R, offtake_index, off_v)
+            H, V = moc_step(H, V, inlet_heads[j], outlet_vs[j], B, R, offtake_index, off_vs[j])
         except NumericalBlowupError as exc:
-            raise NumericalBlowupError(f"{exc} (step {j}, t={t:.3f} s)", step=j) from exc
+            raise NumericalBlowupError(f"{exc} (step {j}, t={ts[j]:.3f} s)", step=j) from exc
         P_out[j] = head_to_pressure(H, fluid.density, pipe.gravity)
         v_out[j] = V
 

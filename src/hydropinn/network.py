@@ -5,6 +5,13 @@ directly in physical units, either (pressure [MPa], velocity [m/s]) or
 (head [m], velocity [m/s]) depending on the output mode. Derivative-aware
 forwards apply the normalization chain-rule factors so returned
 derivatives are with respect to physical x [m] and t [s].
+
+Two forward paths exist. The tape-free one (`net_forward`,
+`forward_with_input_tangents`) is one blocked numpy kernel, `_forward`,
+that carries the input tangents along with the values; evaluation,
+eval-set objectives and the adcheck probe use it. The taped one
+(`taped_forward`) records the same arithmetic on a reverse tape for
+training gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff.dual import Dual, dual_softplus, softplus
 from .autodiff.tape import Tape, Var, tape_softplus, tape_softplus_sigmoid
 from .errors import ConfigError, DomainError
 
@@ -175,43 +181,91 @@ def _stack_inputs(spec: NetSpec, x, t) -> np.ndarray:
     return np.column_stack([u, s])
 
 
+BLOCK_ROWS = 512  # points per block: one block's buffers fit a 2 MB L2 cache
+
+
+def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarray:
+    """The network over the points, as an array out[channel, row kind, point].
+
+    Row kind 0 is the output value; with `tangents`, kinds 1 and 2 are its
+    physical d/dx and d/dt. The points are walked in blocks of BLOCK_ROWS.
+    Within a block the value rows and the two tangent row sets are stacked,
+    so each layer is one matmul, with the bias added to the value rows only.
+    The first layer's tangents are the constant rows dx_factor*W0[0] and
+    dt_factor*W0[1]; softplus then scales the tangent rows by the sigmoid,
+    computed from the same exp(-|z|). Buffers are allocated once per call
+    and every op writes in place.
+    """
+    inputs = _stack_inputs(spec, x, t)
+    n = inputs.shape[0]
+    kinds = 3 if tangents else 1
+    rows = min(n, BLOCK_ROWS)
+    buf_a = np.empty((kinds * rows, spec.width))
+    buf_b = np.empty_like(buf_a)
+    e = np.empty((rows, spec.width))
+    tmp = np.empty_like(e)
+    nonneg = np.empty(e.shape, dtype=bool)
+    y = np.empty((kinds * rows, 2))
+    out = np.empty((2, kinds, n))
+    use_softplus = spec.activation == "softplus"
+    w0 = params[0][0]
+    dx_row = spec.scaler.dx_factor * w0[0]
+    dt_row = spec.scaler.dt_factor * w0[1]
+    for lo in range(0, n, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n - lo)
+        z, a = buf_a[:kinds * m], buf_b[:kinds * m]
+        np.matmul(inputs[lo:lo + m], w0, out=z[:m])
+        if tangents:
+            z[m:2 * m] = dx_row
+            z[2 * m:] = dt_row
+        for li, (w, b) in enumerate(params[:-1]):
+            if li:
+                np.matmul(a, w, out=z)
+            v = z[:m]
+            v += b
+            if use_softplus:
+                # softplus(v) = max(v, 0) + log1p(exp(-|v|)), in place
+                ev = e[:m]
+                np.abs(v, out=ev)
+                np.negative(ev, out=ev)
+                np.exp(ev, out=ev)
+                if tangents:
+                    np.greater_equal(v, 0.0, out=nonneg[:m])
+                np.maximum(v, 0.0, out=v)
+                np.log1p(ev, out=tmp[:m])
+                v += tmp[:m]
+                if tangents:
+                    # sigmoid: 1/(1+e) where v >= 0, e/(1+e) elsewhere
+                    np.add(ev, 1.0, out=tmp[:m])
+                    np.divide(ev, tmp[:m], out=ev)
+                    np.divide(1.0, tmp[:m], out=ev, where=nonneg[:m])
+                    tz = z[m:].reshape(2, m, -1)
+                    tz *= ev
+            z, a = a, z
+        w, b = params[-1]
+        ym = y[:kinds * m]
+        np.matmul(a, w, out=ym)
+        ym[:m] += b
+        out[:, :, lo:lo + m] = ym.reshape(kinds, m, 2).transpose(2, 0, 1)
+    return out
+
+
 def net_forward(spec: NetSpec, params: NetParams, x, t):
     """Plain forward pass; returns the two output channels as 1-d arrays."""
-    a = _stack_inputs(spec, x, t)
-    act = softplus if spec.activation == "softplus" else None
-    for w, b in params[:-1]:
-        z = a @ w + b
-        a = act(z) if act is not None else z
-    w, b = params[-1]
-    y = a @ w + b
-    return y[:, 0], y[:, 1]
+    out = _forward(spec, params, x, t, tangents=False)
+    return out[0, 0], out[1, 0]
 
 
 def forward_with_input_tangents(spec: NetSpec, params: NetParams, x, t):
-    """Outputs plus exact physical-space derivatives via forward-mode duals.
+    """Outputs plus exact physical-space derivatives, carried forward through
+    the layers alongside the values.
 
     Returns (P, v, dP/dx, dP/dt, dv/dx, dv/dt); in head-velocity mode the
     first channel is head. Derivative exactness is machine precision --
     these are derivatives of the network function itself.
     """
-    a0 = _stack_inputs(spec, x, t)
-    n = a0.shape[0]
-    dx0 = np.zeros_like(a0)
-    dx0[:, 0] = spec.scaler.dx_factor
-    dt0 = np.zeros_like(a0)
-    dt0[:, 1] = spec.scaler.dt_factor
-    a = Dual(a0, dx0, dt0)
-    use_softplus = spec.activation == "softplus"
-    for w, b in params[:-1]:
-        z = (a @ w) + b
-        a = dual_softplus(z) if use_softplus else z
-    w, b = params[-1]
-    y = (a @ w) + b
-    return (
-        y.value[:, 0], y.value[:, 1],
-        y.tangent_x[:, 0], y.tangent_t[:, 0],
-        y.tangent_x[:, 1], y.tangent_t[:, 1],
-    )
+    out = _forward(spec, params, x, t, tangents=True)
+    return out[0, 0], out[1, 0], out[0, 1], out[0, 2], out[1, 1], out[1, 2]
 
 
 def params_to_vars(tape: Tape, params: NetParams) -> list:

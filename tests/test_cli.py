@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydropinn.cli import main
-from hydropinn.dataset import read_dataset
+from hydropinn.dataset import meta_path, read_dataset
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,19 @@ class TestTrainEvalCompare:
         code = main(["eval", str(checkpoint), str(tmp_path / "no.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: io")
+
+    def test_malformed_dataset_row_is_config_error(self, checkpoint, tiny_dataset,
+                                                   tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        lines = tiny_dataset.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # drop the velocity cell
+        bad.write_text("\n".join(lines) + "\n")
+        meta_path(bad).write_text(meta_path(tiny_dataset).read_text())
+        code = main(["eval", str(checkpoint), str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "bad.csv: line 3 " in err
 
     def test_seed_override_changes_result(self, tiny_train_config, tiny_dataset,
                                           tmp_path):

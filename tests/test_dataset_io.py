@@ -86,6 +86,20 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError, match="ds.csv"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("bad_row", ["1.0,0.0,abc,0.1", "1.0,0.0,1.0",
+                                         "1.0,0.0,1.0,0.1,7"],
+                             ids=["non-numeric", "three-cells", "five-cells"])
+    def test_malformed_row_named(self, tmp_path, fluid, pipe, bad_row):
+        path = self._write_lines(tmp_path, fluid, pipe, [(0.0, 0.0, 1.0, 0.1)])
+        path.write_text(path.read_text() + bad_row + "\n")
+        with pytest.raises(ConfigError, match=r"ds\.csv: line 3 "):
+            read_dataset(path)
+
+    def test_no_data_rows(self, tmp_path, fluid, pipe):
+        path = self._write_lines(tmp_path, fluid, pipe, [])
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_dataset(path)
+
     def test_missing_sidecar(self, tmp_path, rng, fluid, pipe):
         field = self._random_field(rng)
         meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hydropinn.errors import ConfigError, DomainError
 from hydropinn.network import (
+    BLOCK_ROWS,
     InputScaler,
     NetSpec,
+    forward_with_input_tangents,
     init_params,
     load_checkpoint,
     net_forward,
@@ -59,6 +63,64 @@ class TestSpecs:
                 z = corners @ w0 + b0
                 assert np.all(z.min(axis=0) < 0.0)
                 assert np.all(z.max(axis=0) > 0.0)
+
+
+BLOCK_SIZES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
+def _kernel_case(activation, output_mode, n, seed=3):
+    spec = NetSpec(hidden_layers=3, width=8, activation=activation,
+                   output_mode=output_mode,
+                   scaler=InputScaler(0.0, 50_000.0, 0.0, 600.0))
+    rng = np.random.default_rng(seed)
+    return (spec, init_params(spec, seed),
+            rng.uniform(0, 50_000, n), rng.uniform(0, 600, n))
+
+
+@pytest.mark.parametrize("activation", ["softplus", "identity"])
+@pytest.mark.parametrize("output_mode", ["pressure-velocity", "head-velocity"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+class TestBlockedForward:
+    """Point counts around the block size: a partial last block, exactly
+    one block, one spare row, and two full blocks plus one row."""
+
+    def test_tangents_match_finite_differences(self, activation, output_mode, n):
+        spec, params, x, t = _kernel_case(activation, output_mode, n)
+        P, v, Px, Pt, vx, vt = forward_with_input_tangents(spec, params, x, t)
+        hx, ht = 50_000 * 1e-5 / 2, 600 * 1e-5 / 2
+        xp, xm = net_forward(spec, params, x + hx, t), net_forward(spec, params, x - hx, t)
+        tp, tm = net_forward(spec, params, x, t + ht), net_forward(spec, params, x, t - ht)
+        for ch, dx, dt in ((0, Px, Pt), (1, vx, vt)):
+            assert np.allclose(dx, (xp[ch] - xm[ch]) / (2 * hx), rtol=1e-6, atol=1e-10)
+            assert np.allclose(dt, (tp[ch] - tm[ch]) / (2 * ht), rtol=1e-6, atol=1e-10)
+
+    def test_equals_per_chunk_evaluation(self, activation, output_mode, n):
+        spec, params, x, t = _kernel_case(activation, output_mode, n)
+        chunks = range(0, n, 37)
+        for fn in (net_forward, forward_with_input_tangents):
+            whole = fn(spec, params, x, t)
+            parts = [fn(spec, params, x[i:i + 37], t[i:i + 37]) for i in chunks]
+            for k, out in enumerate(whole):
+                assert out.shape == (n,)
+                pieced = np.concatenate([p[k] for p in parts])
+                assert np.max(np.abs(out - pieced)) <= 1e-13 * np.max(np.abs(out))
+
+
+def test_desk_grid_forward_stays_small():
+    """The 51 x 1201 desk grid on the 10 x 50 net: buffers are per block,
+    so the traced peak stays far below one full-grid layer (24.5 MB)."""
+    spec = NetSpec(scaler=InputScaler(0.0, 50_000.0, 0.0, 600.0))
+    params = init_params(spec, 0)
+    xg, tg = np.meshgrid(np.linspace(0, 50_000, 51), np.linspace(0, 600, 1201))
+    x, t = xg.ravel(), tg.ravel()
+    for fn in (net_forward, forward_with_input_tangents):
+        tracemalloc.start()
+        try:
+            fn(spec, params, x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (fn.__name__, peak)
 
 
 class TestCheckpoint:
