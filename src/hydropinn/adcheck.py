@@ -1,12 +1,14 @@
 """Gradient verification harness behind the `adcheck` CLI command.
 
-Builds a synthetic coupled-loss problem (random sample points, random but
-plausible targets), computes the parameter gradient with the reverse tape,
-and checks it against central finite differences of a tape-free evaluation
-of the same loss. The two sides go through independent code paths: the
-probe re-evaluates the loss with the tape-free forward kernel
-(`net_forward`, and `forward_with_input_tangents` through `residuals`)
-while the gradient comes from the taped forward.
+Builds a synthetic problem (random sample points, random but plausible
+targets) for a baseline's last-stage objective (the coupled loss for kih
+and pinn, the split-form data loss for dnn), computes the parameter
+gradient with the reverse tape, and checks it against central finite
+differences of a tape-free evaluation of the same loss. The two sides go
+through independent code paths: the probe re-evaluates the loss with the
+tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
+through `residuals`) while the gradient comes from the fused taped forward
+and its hand-derived reverse.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
 
 
 def taped_coupled_gradient(problem: AdCheckProblem):
-    """Coupled-loss gradient of the problem's parameters via the tape."""
+    """Coupled-loss gradient of the problem's parameters via the tape; the
+    physics terms are left out when both their weights are zero."""
     p, c, w = problem, problem.colloc, problem.weights
     tape = Tape()
     pvars = params_to_vars(tape, p.params)
@@ -87,15 +90,17 @@ def taped_coupled_gradient(problem: AdCheckProblem):
                                 p.coeffs, p.form)
     ic_var, _ = taped_data_loss(p.spec, pvars, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
                                 p.coeffs, p.form)
-    con_var, mo_var = taped_physics_losses(p.spec, pvars, c.x_f, c.t_f, p.coeffs)
-    total = w.bc * bc_var + w.ic * ic_var + w.con * con_var + w.mo * mo_var
+    total = w.bc * bc_var + w.ic * ic_var
+    if w.con or w.mo:
+        con_var, mo_var = taped_physics_losses(p.spec, pvars, c.x_f, c.t_f, p.coeffs)
+        total = total + w.con * con_var + w.mo * mo_var
     flat = [v for pair in pvars for v in pair]
     grads = tape.gradients(total, flat)
     return [(grads[2 * i], grads[2 * i + 1]) for i in range(len(pvars))]
 
 
 def fast_coupled_loss(problem: AdCheckProblem) -> float:
-    """Eq-by-eq identical to `coupled_loss`, with the two data-family forward
+    """Equal in value to `coupled_loss`, with the two data-family forward
     passes fused into one call (the fd probe runs this tens of thousands of
     times)."""
     from .losses import _mean_sq, _observed_first_channel, data_misfit, residuals
@@ -112,8 +117,11 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
     ic = data_misfit(y1[nb:], v[nb:],
                      _observed_first_channel(c.P_ic, p.spec, p.coeffs),
                      c.v_ic, p.form)
-    g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f)
-    return w.bc * bc + w.ic * ic + w.con * _mean_sq(g_con) + w.mo * _mean_sq(g_mo)
+    total = w.bc * bc + w.ic * ic
+    if w.con or w.mo:
+        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f)
+        total = total + w.con * _mean_sq(g_con) + w.mo * _mean_sq(g_mo)
+    return total
 
 
 def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
@@ -135,8 +143,13 @@ def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
 
 def adcheck_from_config(cfg, n_points: int = 32, seed: int | None = None,
                         **fd_kwargs) -> FdReport:
-    """Build the default-domain problem for a train config and check it."""
-    from .training import output_mode_for
+    """Build the default-domain problem for a train config's last-stage
+    objective and check it."""
+    from .training import LOSS_TERMS, _objective, _schedule, output_mode_for
+
+    _, kind, _, form = _schedule(cfg)[-1]
+    objective = _objective(kind, cfg.weights)
+    weights = LossWeights(**{term: objective.get(term, 0.0) for term in LOSS_TERMS})
 
     spec = NetSpec(
         hidden_layers=cfg.hidden_layers,
@@ -145,7 +158,6 @@ def adcheck_from_config(cfg, n_points: int = 32, seed: int | None = None,
         scaler=InputScaler(0.0, DEFAULT_PIPE.length, 0.0, DEFAULT_DURATION),
         output_mode=output_mode_for(cfg.baseline),
     )
-    problem = build_problem(spec, default_coefficients(), cfg.weights,
-                            cfg.bc_loss_form, n_points,
+    problem = build_problem(spec, default_coefficients(), weights, form, n_points,
                             cfg.seed if seed is None else seed)
     return run_adcheck(problem, **fd_kwargs)

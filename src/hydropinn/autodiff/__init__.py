@@ -1,6 +1,6 @@
 from .activations import sigmoid, softplus
 from .fdcheck import FdReport, fd_check
-from .tape import Tape, Var, tape_softplus
+from .tape import Tape, Var
 
 __all__ = [
     "sigmoid",
@@ -9,5 +9,4 @@ __all__ = [
     "fd_check",
     "Tape",
     "Var",
-    "tape_softplus",
 ]

@@ -15,9 +15,3 @@ def sigmoid(z):
     t = np.exp(-np.abs(z))
     return np.where(np.asarray(z) >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
-
-def softplus_and_sigmoid(z):
-    """Both at once, sharing the exp evaluation."""
-    t = np.exp(-np.abs(z))
-    sp = np.maximum(z, 0.0) + np.log1p(t)
-    return sp, np.where(np.asarray(z) >= 0, 1.0 / (1.0 + t), t / (1.0 + t))

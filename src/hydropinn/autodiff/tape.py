@@ -2,10 +2,14 @@
 
 Recording happens through Var operators; nodes keep (op code, parent
 indices, local partials) and a single reverse sweep fills the adjoint
-buffer. The network forward pass records the forward-mode chain rules
-for the input tangents as ordinary tape ops, so losses built from input derivatives (PDE residuals)
-backpropagate to the parameters through the tangent computation itself --
-forward-over-reverse without nested tapes.
+buffer. A whole network forward is one `fused` node whose aux is a
+backward closure (`network.taped_forward`); it carries the input tangents,
+so PDE residual losses backpropagate to the parameters through the tangent
+computation itself -- forward-over-reverse without nested tapes.
+
+A tape is reset and re-recorded every training iteration; `buffer` hands
+out arrays that survive `reset`, so what fused nodes keep for the reverse
+is allocated once. Vars recorded before the last `reset` are rejected.
 
 Constants (plain floats/arrays) never create nodes; only quantities
 reachable from leaves carry adjoints.
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .activations import softplus_and_sigmoid
 
 
 @dataclass
@@ -30,16 +32,17 @@ class Node:
 class Var:
     """Handle to one tape node; supports the arithmetic the losses need."""
 
-    __slots__ = ("tape", "index", "value")
+    __slots__ = ("tape", "index", "value", "generation")
 
     # make numpy defer to the reflected operators instead of broadcasting
     # over a Var as an object scalar
     __array_ufunc__ = None
 
-    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray, generation: int):
         self.tape = tape
         self.index = index
         self.value = value
+        self.generation = generation
 
     @property
     def shape(self):
@@ -79,40 +82,14 @@ class Var:
         return self.tape._record("abs", (self.index,), (np.sign(self.value),),
                                  np.abs(self.value))
 
-    def __matmul__(self, other):
-        if isinstance(other, Var):
-            return self.tape._record("matmul", (self.index, other.index),
-                                     (self.value, other.value),
-                                     self.value @ other.value)
-        other = np.asarray(other, dtype=float)
-        return self.tape._record("matmul_vc", (self.index,), (other,),
-                                 self.value @ other)
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other, dtype=float)
-        return self.tape._record("matmul_cv", (self.index,), (other,),
-                                 other @ self.value)
-
     def mean(self):
         return self.tape._record("mean", (self.index,),
                                  (self.value.size, self.value.shape),
                                  np.asarray(np.mean(self.value)))
 
-    def column(self, j: int):
-        return self.tape._record("column", (self.index,), (j, self.value.shape),
-                                 self.value[:, j])
-
-
-def tape_softplus(x: Var) -> Var:
-    sp, s = softplus_and_sigmoid(x.value)
-    return x.tape._record("softplus", (x.index,), (s,), sp)
-
-
-def tape_softplus_sigmoid(x: Var) -> tuple[Var, Var]:
-    """Activation and its derivative as separate nodes, one exp evaluation."""
-    sp, s = softplus_and_sigmoid(x.value)
-    return (x.tape._record("softplus", (x.index,), (s,), sp),
-            x.tape._record("sigmoid", (x.index,), (s,), s))
+    def __getitem__(self, key):
+        return self.tape._record("index", (self.index,), (key, self.value.shape),
+                                 self.value[key])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -133,6 +110,28 @@ class Tape:
     def __init__(self):
         self._nodes: list[Node] = []
         self._values: list[np.ndarray] = []
+        self._buffers: list[np.ndarray] = []
+        self._next_buffer = 0
+        self._generation = 0
+
+    def reset(self) -> None:
+        """Drop every node, keeping the buffers for the next recording."""
+        self._nodes.clear()
+        self._values.clear()
+        self._next_buffer = 0
+        self._generation += 1
+
+    def buffer(self, shape: tuple, dtype=float) -> np.ndarray:
+        """An uninitialized array, valid until the next `reset`. The k-th
+        call after a reset returns the k-th call's array of the recording
+        before it when shape and dtype match."""
+        k = self._next_buffer
+        self._next_buffer += 1
+        if k == len(self._buffers):
+            self._buffers.append(np.empty(shape, dtype))
+        elif self._buffers[k].shape != shape or self._buffers[k].dtype != dtype:
+            self._buffers[k] = np.empty(shape, dtype)
+        return self._buffers[k]
 
     def __len__(self):
         return len(self._nodes)
@@ -141,16 +140,23 @@ class Tape:
         """Record an input (parameter) node that will receive an adjoint."""
         return self._record("leaf", (), (), np.asarray(value, dtype=float))
 
+    def fused(self, parents: list, value, backward) -> Var:
+        """One node for a computation over `parents`; `backward(adjoint)`
+        returns their adjoints in order."""
+        return self._record("fused", tuple(p.index for p in parents), (backward,), value)
+
     def _record(self, op: str, parents: tuple, aux: tuple, value) -> Var:
         value = np.asarray(value, dtype=float)
         self._nodes.append(Node(op, parents, aux))
         self._values.append(value)
-        return Var(self, len(self._nodes) - 1, value)
+        return Var(self, len(self._nodes) - 1, value, self._generation)
 
     def gradients(self, loss: Var, wrt: list[Var]) -> list[np.ndarray]:
         """Adjoints of `wrt` leaves for a scalar loss, via one reverse sweep."""
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
+        if any(v.generation != self._generation for v in (loss, *wrt)):
+            raise ValueError("Var was recorded before the tape's last reset")
         if loss.value.size != 1:
             raise ValueError("gradients require a scalar loss")
         adj: list = [None] * (loss.index + 1)
@@ -187,31 +193,21 @@ class Tape:
                 (c,) = node.aux
                 a = node.parents[0]
                 self._accum(adj, a, _unbroadcast(g * c, values[a].shape))
-            elif op in ("abs", "softplus"):
+            elif op == "abs":
                 (partial,) = node.aux
                 self._accum(adj, node.parents[0], g * partial)
-            elif op == "sigmoid":
-                (s,) = node.aux
-                self._accum(adj, node.parents[0], g * s * (1.0 - s))
-            elif op == "matmul":
-                a, b = node.parents
-                av, bv = node.aux
-                self._accum(adj, a, g @ bv.T)
-                self._accum(adj, b, av.T @ g)
-            elif op == "matmul_vc":
-                (c,) = node.aux
-                self._accum(adj, node.parents[0], g @ c.T)
-            elif op == "matmul_cv":
-                (c,) = node.aux
-                self._accum(adj, node.parents[0], c.T @ g)
+            elif op == "fused":
+                (backward,) = node.aux
+                for parent, grad in zip(node.parents, backward(g)):
+                    self._accum(adj, parent, grad)
             elif op == "mean":
                 n, shape = node.aux
                 self._accum(adj, node.parents[0],
                             np.broadcast_to(g / n, shape))
-            elif op == "column":
-                j, shape = node.aux
+            elif op == "index":
+                key, shape = node.aux
                 full = np.zeros(shape)
-                full[:, j] = g
+                full[key] = g
                 self._accum(adj, node.parents[0], full)
             else:  # pragma: no cover - guarded by the op whitelist above
                 raise ValueError(f"unknown tape op {op!r}")

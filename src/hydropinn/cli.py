@@ -160,7 +160,7 @@ def compare_cmd(obj, paths, segment_breaks):
               help="Check only a random coordinate subsample.")
 @click.pass_obj
 def adcheck(obj, config_path, points, fd_step, tolerance, order, max_coords):
-    """Verify tape gradients of the coupled loss against finite differences."""
+    """Check tape gradients of the config's objective by finite differences."""
     cfg = load_train_config(config_path)
     report = adcheck_from_config(
         cfg, n_points=points, seed=obj.get("seed"),

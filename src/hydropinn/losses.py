@@ -6,11 +6,11 @@ head-form operators used by the fixed-weight baseline (outputs in m and
 m/s). The pressure-form residual equals rho*g/1e6 times the head-form
 residual under h = 1e6*P/(rho*g); a test suite pins that identity.
 
-The residual cores are written once over a generic operand type: they
-accept plain numpy arrays (evaluation, with input derivatives from the
-tape-free `forward_with_input_tangents`) or tape variables (training),
-since both support the same operators. Reductions
-are fixed-order numpy means, keeping loss values deterministic.
+The residual cores are written once over numpy arrays (evaluation, input
+derivatives from the tape-free `forward_with_input_tangents`) or tape Vars
+(training: the outputs of `taped_forward`'s one fused node, the residual
+arithmetic recorded op by op). Reductions are fixed-order numpy means,
+keeping loss values deterministic.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ directly in physical units, either (pressure [MPa], velocity [m/s]) or
 forwards apply the normalization chain-rule factors so returned
 derivatives are with respect to physical x [m] and t [s].
 
-Two forward paths exist. The tape-free one (`net_forward`,
-`forward_with_input_tangents`) is one blocked numpy kernel, `_forward`,
-that carries the input tangents along with the values; evaluation,
-eval-set objectives and the adcheck probe use it. The taped one
-(`taped_forward`) records the same arithmetic on a reverse tape for
-training gradients.
+Both forwards stack the value rows and the d/dx, d/dt tangent rows of
+their points, so each layer is one matmul with the bias on the value rows
+only, and share one in-place softplus helper. The tape-free kernel
+`_forward` (`net_forward`, `forward_with_input_tangents`) walks the points
+in cache-sized blocks for evaluation, eval-set objectives and the adcheck
+probe. `taped_forward` records a whole forward as one tape node with a
+hand-derived reverse, for training gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff.tape import Tape, Var, tape_softplus, tape_softplus_sigmoid
+from .autodiff.tape import Tape
 from .errors import ConfigError, DomainError
 
 OUTPUT_MODES = ("pressure-velocity", "head-velocity")
@@ -184,6 +185,25 @@ def _stack_inputs(spec: NetSpec, x, t) -> np.ndarray:
 BLOCK_ROWS = 512  # points per block: one block's buffers fit a 2 MB L2 cache
 
 
+def _softplus_inplace(v, e, tmp, mask=None) -> None:
+    """v <- softplus(v) = max(v, 0) + log1p(exp(-|v|)) in place, leaving
+    exp(-|v|) in `e` or, given a bool `mask` buffer, the sigmoid of the input
+    v from the same exp. `tmp` is scratch; all buffers have v's shape."""
+    np.abs(v, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if mask is not None:
+        np.greater_equal(v, 0.0, out=mask)
+    np.maximum(v, 0.0, out=v)
+    np.log1p(e, out=tmp)
+    v += tmp
+    if mask is not None:
+        # sigmoid: 1/(1+e) where v >= 0, e/(1+e) elsewhere
+        np.add(e, 1.0, out=tmp)
+        np.putmask(e, mask, 1.0)
+        np.divide(e, tmp, out=e)
+
+
 def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarray:
     """The network over the points, as an array out[channel, row kind, point].
 
@@ -192,9 +212,8 @@ def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarr
     Within a block the value rows and the two tangent row sets are stacked,
     so each layer is one matmul, with the bias added to the value rows only.
     The first layer's tangents are the constant rows dx_factor*W0[0] and
-    dt_factor*W0[1]; softplus then scales the tangent rows by the sigmoid,
-    computed from the same exp(-|z|). Buffers are allocated once per call
-    and every op writes in place.
+    dt_factor*W0[1]; softplus then scales the tangent rows by the sigmoid.
+    Buffers are allocated once per call and every op writes in place.
     """
     inputs = _stack_inputs(spec, x, t)
     n = inputs.shape[0]
@@ -224,23 +243,10 @@ def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarr
             v = z[:m]
             v += b
             if use_softplus:
-                # softplus(v) = max(v, 0) + log1p(exp(-|v|)), in place
-                ev = e[:m]
-                np.abs(v, out=ev)
-                np.negative(ev, out=ev)
-                np.exp(ev, out=ev)
+                _softplus_inplace(v, e[:m], tmp[:m], nonneg[:m] if tangents else None)
                 if tangents:
-                    np.greater_equal(v, 0.0, out=nonneg[:m])
-                np.maximum(v, 0.0, out=v)
-                np.log1p(ev, out=tmp[:m])
-                v += tmp[:m]
-                if tangents:
-                    # sigmoid: 1/(1+e) where v >= 0, e/(1+e) elsewhere
-                    np.add(ev, 1.0, out=tmp[:m])
-                    np.divide(ev, tmp[:m], out=ev)
-                    np.divide(1.0, tmp[:m], out=ev, where=nonneg[:m])
                     tz = z[m:].reshape(2, m, -1)
-                    tz *= ev
+                    tz *= e[:m]
             z, a = a, z
         w, b = params[-1]
         ym = y[:kinds * m]
@@ -274,52 +280,84 @@ def params_to_vars(tape: Tape, params: NetParams) -> list:
 
 def taped_forward(spec: NetSpec, param_vars: list, x, t,
                   with_tangents: bool = False):
-    """Forward pass recorded on the tape of `param_vars`.
+    """Forward pass recorded as one fused node on the tape of `param_vars`.
 
     Without tangents returns (P, v) Vars; with tangents additionally
     returns (Px, Pt, vx, vt) Vars whose parameter adjoints carry the
     second-order cross terms the PDE losses need.
+
+    Per layer, as in `_forward` over one block, rows A = [a; a_x; a_t] give
+    Z = A W = [z; z_x; z_t], then a = softplus(z), a_x = s*z_x, a_t = s*z_t
+    with s = sigmoid(z); A and s are kept in tape buffers. The reverse is
+    W_bar = A^T Z_bar, A_bar = Z_bar W^T with Z_bar = [s*a_bar + (1-s)*
+    (a_bar_x*a_x + a_bar_t*a_t); s*a_bar_x; s*a_bar_t], the sigmoid term
+    s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off the next layer's A.
     """
-    a0 = _stack_inputs(spec, x, t)
+    tape = param_vars[0][0].tape
+    params = [(w.value, b.value) for w, b in param_vars]
+    points = _stack_inputs(spec, x, t)
+    m = points.shape[0]
+    rows = (3 if with_tangents else 1) * m
     use_softplus = spec.activation == "softplus"
-    if not with_tangents:
-        a = a0
-        for wv, bv in param_vars[:-1]:
-            z = _mm(a, wv) + bv
-            a = tape_softplus(z) if use_softplus else z
-        wv, bv = param_vars[-1]
-        y = _mm(a, wv) + bv
-        return y.column(0), y.column(1)
-
-    ax = np.zeros_like(a0)
-    ax[:, 0] = spec.scaler.dx_factor
-    at = np.zeros_like(a0)
-    at[:, 1] = spec.scaler.dt_factor
-    a, dax, dat = a0, ax, at
-    for wv, bv in param_vars[:-1]:
-        z = _mm(a, wv) + bv
-        zx = _mm(dax, wv)
-        zt = _mm(dat, wv)
+    sc = spec.scaler
+    a = tape.buffer((rows, 2))
+    a[:m] = points
+    if with_tangents:
+        a[m:] = np.repeat(np.diag([sc.dx_factor, sc.dt_factor]), m, axis=0)
+    tmp, mask = tape.buffer((m, spec.width)), tape.buffer((m, spec.width), bool)
+    inputs, sigmoids = [a], []
+    for w, b in params[:-1]:
+        z = tape.buffer((rows, spec.width))
+        np.matmul(a, w, out=z)
+        z[:m] += b
         if use_softplus:
-            a, s = tape_softplus_sigmoid(z)
-            dax = s * zx
-            dat = s * zt
-        else:
-            a, dax, dat = z, zx, zt
-    wv, bv = param_vars[-1]
-    y = _mm(a, wv) + bv
-    yx = _mm(dax, wv)
-    yt = _mm(dat, wv)
-    return (y.column(0), y.column(1),
-            yx.column(0), yt.column(0),
-            yx.column(1), yt.column(1))
+            sigmoids.append(tape.buffer((m, spec.width)))
+            _softplus_inplace(z[:m], sigmoids[-1], tmp, mask)
+            if with_tangents:
+                tz = z[m:].reshape(2, m, -1)
+                tz *= sigmoids[-1]
+        inputs.append(z)
+        a = z
+    y = tape.buffer((rows, 2))
+    np.matmul(a, params[-1][0], out=y)
+    y[:m] += params[-1][1]
 
+    def backward(ybar):
+        grads = [None] * (2 * len(params))
+        abar = tape.buffer((rows, spec.width))
+        zbar = tape.buffer((rows, spec.width))
+        g = ybar
+        for li in range(len(params) - 1, -1, -1):
+            grads[2 * li] = inputs[li].T @ g
+            grads[2 * li + 1] = g[:m].sum(axis=0)
+            if li == 0:
+                break
+            np.matmul(g, params[li][0].T, out=abar)
+            if not use_softplus:
+                g, abar, zbar = abar, zbar, abar
+                continue
+            s = sigmoids[li - 1]
+            if with_tangents:
+                zv, cross = zbar[:m], zbar[m:2 * m]
+                np.multiply(abar[m:], inputs[li][m:], out=zbar[m:])
+                cross += zbar[2 * m:]
+                np.subtract(1.0, s, out=zv)
+                cross *= zv
+                np.multiply(abar[:m], s, out=zv)
+                zv += cross
+                np.multiply(abar[m:].reshape(2, m, -1), s,
+                            out=zbar[m:].reshape(2, m, -1))
+            else:
+                np.multiply(abar, s, out=zbar)
+            g = zbar
+        return grads
 
-def _mm(a, w: Var) -> Var:
-    """a @ w where a is a constant array or a Var."""
-    if isinstance(a, Var):
-        return a @ w
-    return w.__rmatmul__(a)
+    out = tape.fused([p for pair in param_vars for p in pair], y, backward)
+    if not with_tangents:
+        return out[:m, 0], out[:m, 1]
+    return (out[:m, 0], out[:m, 1],
+            out[m:2 * m, 0], out[2 * m:, 0],
+            out[m:2 * m, 1], out[2 * m:, 1])
 
 
 def save_checkpoint(path, spec: NetSpec, params: NetParams,

@@ -12,7 +12,8 @@ stage (boundary plus initial data, standard per-variable MSE).
 
 Parameters live in one contiguous float64 buffer for the whole run.
 Forwards and the returned `params` are per-layer (W, b) views into it, and
-Adam updates it as one vector.
+Adam updates it as one vector. Each stage records on one tape, reset every
+iteration, so the arrays kept for the reverse sweep are allocated once.
 
 Each stage returns the best parameters seen on its own objective,
 evaluated on fixed eval sets at stage start, every `EVAL_EVERY` iterations
@@ -405,10 +406,11 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     best = theta.copy()
     adam = AdamState.zeros(theta.size)
     lr = cfg.learning_rate
+    tape = Tape()
 
     for k in range(iterations):
         it = start_iteration + k
-        tape = Tape()
+        tape.reset()
         pvars = params_to_vars(tape, params)
         terms, diagnostics = _batch_terms(objective, spec, pvars, data, ctx, form)
         loss_var = _weighted_sum(objective, terms)

@@ -3,8 +3,9 @@ import pytest
 
 from hydropinn.autodiff.activations import sigmoid, softplus
 from hydropinn.autodiff.fdcheck import fd_check
-from hydropinn.autodiff.tape import Tape, tape_softplus
+from hydropinn.autodiff.tape import Tape
 from hydropinn.network import (
+    BLOCK_ROWS,
     InputScaler,
     NetSpec,
     forward_with_input_tangents,
@@ -107,26 +108,94 @@ class TestTape:
         assert np.all(gx == 0.0) and np.all(gy == 0.0)
 
     def test_matmul_and_bias_gradients(self, rng):
-        a = rng.normal(size=(4, 3))
+        # fused node of an identity-activation net, y = (a W0 + b0) W1 + b1
+        spec = NetSpec(hidden_layers=1, width=3, activation="identity",
+                       scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
+        params = [(rng.normal(size=(2, 3)), rng.normal(size=3)),
+                  (rng.normal(size=(3, 2)), rng.normal(size=2))]
+        x, t = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
         tape = Tape()
-        w = tape.leaf(rng.normal(size=(3, 2)))
-        b = tape.leaf(rng.normal(size=2))
-        y = (a @ w) + b
-        loss = (y * y).mean()
-        gw, gb = tape.gradients(loss, [w, b])
-        # analytic: dL/dW = a^T (2y/n), dL/db = sum(2y/n)
-        yv = a @ w.value + b.value
-        gref = 2.0 * yv / yv.size
-        assert np.allclose(gw, a.T @ gref)
-        assert np.allclose(gb, gref.sum(axis=0))
+        pv = params_to_vars(tape, params)
+        P, v = taped_forward(spec, pv, x, t)
+        loss = (P * P).mean() + (v * v).mean()
+        gw0, gb0, gw1, gb1 = tape.gradients(loss, [q for pair in pv for q in pair])
+        # analytic: y_bar = 2y/n, W1_bar = h^T y_bar, h_bar = y_bar W1^T, ...
+        a = np.column_stack([x, t])
+        h = a @ params[0][0] + params[0][1]
+        y = h @ params[1][0] + params[1][1]
+        ybar = 2.0 * y / x.size
+        hbar = ybar @ params[1][0].T
+        assert np.allclose(gw1, h.T @ ybar, rtol=1e-12)
+        assert np.allclose(gb1, ybar.sum(axis=0), rtol=1e-12)
+        assert np.allclose(gw0, a.T @ hbar, rtol=1e-12)
+        assert np.allclose(gb0, hbar.sum(axis=0), rtol=1e-12)
 
     def test_softplus_backward(self, rng):
-        z0 = rng.normal(size=(5,))
+        # fused node of a softplus net with tangents; the probe evaluates the
+        # same loss with the tape-free blocked kernel, over one point and over
+        # one point more than a block
+        spec = NetSpec(hidden_layers=2, width=5,
+                       scaler=InputScaler(0.0, 2.0, 0.0, 3.0))
+        params = init_params(spec, 4)
+        for n in (1, BLOCK_ROWS + 1):
+            x, t = rng.uniform(0, 2, n), rng.uniform(0, 3, n)
+
+            def loss_fn():
+                out = forward_with_input_tangents(spec, params, x, t)
+                return float(sum(np.mean(o * o) for o in out))
+
+            tape = Tape()
+            pv = params_to_vars(tape, params)
+            loss = sum(((o * o).mean() for o in taped_forward(spec, pv, x, t,
+                                                              with_tangents=True)))
+            g = tape.gradients(loss, [q for pair in pv for q in pair])
+            grad = [(g[2 * i], g[2 * i + 1]) for i in range(len(pv))]
+            report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-6, order=4)
+            assert report.passed, (n, report.summary())
+
+    def test_reset_reuses_buffers(self, rng):
+        spec = NetSpec(hidden_layers=3, width=6,
+                       scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
+        params = init_params(spec, 8)
+        x, t = rng.uniform(0, 1, 7), rng.uniform(0, 1, 7)
         tape = Tape()
-        z = tape.leaf(z0)
-        loss = tape_softplus(z).mean()
-        (g,) = tape.gradients(loss, [z])
-        assert np.allclose(g, sigmoid(z0) / z0.size, rtol=1e-12)
+        handed = []
+        buffer = tape.buffer
+
+        def spy(shape, dtype=float):
+            handed.append(buffer(shape, dtype))
+            return handed[-1]
+
+        tape.buffer = spy
+
+        def record():
+            handed.clear()
+            tape.reset()
+            pv = params_to_vars(tape, params)
+            out = taped_forward(spec, pv, x, t, with_tangents=True)
+            loss = sum((o * o).mean() for o in out)
+            grads = tape.gradients(loss, [q for pair in pv for q in pair])
+            return list(handed), [g.copy() for g in grads]
+
+        bufs1, g1 = record()
+        bufs2, g2 = record()
+        assert bufs1 and len(bufs1) == len(bufs2)
+        assert all(a is b for a, b in zip(bufs1, bufs2))
+        for ga, gb in zip(g1, g2):
+            assert np.array_equal(ga, gb)
+
+    def test_stale_loss_rejected(self, rng):
+        spec = NetSpec(hidden_layers=1, width=4,
+                       scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
+        params = init_params(spec, 9)
+        tape = Tape()
+        pv = params_to_vars(tape, params)
+        P, _ = taped_forward(spec, pv, rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
+        loss = (P * P).mean()
+        tape.reset()
+        fresh = params_to_vars(tape, params)
+        with pytest.raises(ValueError, match="reset"):
+            tape.gradients(loss, [q for pair in fresh for q in pair])
 
     def test_scalar_loss_required(self):
         tape = Tape()

@@ -222,6 +222,33 @@ class TestClosedForm:
         assert reversal == pytest.approx(2.0 * pipe.length / wave_speed(fluid, pipe),
                                          rel=0.01)
 
+    @pytest.fixture(scope="class")
+    def two_periods(self, fluid):
+        """The same closure, run for two periods 4L/a past it."""
+        pipe = PipelineSpec(length=50_000.0, diameter=0.25, friction_factor=1e-12)
+        period = 4.0 * pipe.length / wave_speed(fluid, pipe)
+        sc = Scenario(pipe=pipe, fluid=fluid,
+                      duration=self.CLOSE_AT + 2.0 * period + 10.0,
+                      inlet_pressure=PiecewiseSignal.constant(1.48),
+                      outlet_flowrate=PiecewiseSignal.from_breakpoints(
+                          [[0.0, Q_START], [self.CLOSE_AT, Q_START],
+                           [self.CLOSE_AT + self.DT, 0.0]]))
+        field, _, _ = run_details(sc, self.DT)
+        j = int(np.flatnonzero(field.ts == self.CLOSE_AT)[0])
+        return field, period, j
+
+    def test_period_is_four_transits(self, two_periods):
+        # after each drop below the pre-closure value the valve pressure
+        # rises back above it, one period 4L/a after the previous rise
+        field, period, j = two_periods
+        valve = field.P[:, -1]
+        steps = np.arange(valve.size)
+        rise = j + 1
+        for k in (1, 2):
+            low = np.flatnonzero((steps > rise) & (valve < valve[j]))[0]
+            rise = np.flatnonzero((steps > low) & (valve > valve[j]))[0]
+            assert field.ts[rise] - field.ts[j + 1] == pytest.approx(k * period, rel=0.01)
+
     def test_steady_boundaries_hold_to_round_off(self, fluid, pipe, closure):
         field, *_ = closure
         assert np.max(np.abs(field.P[:, 0] - 1.48)) <= 1e-12

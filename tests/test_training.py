@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,33 @@ class TestGradientValidity:
                                      form=cfg.bc_loss_form)
             report = run_adcheck(problem, h=1e-4, tolerance=1e-5)
             assert report.passed, report.summary()
+
+    def test_adcheck_checks_the_objective_each_baseline_trains(self, monkeypatch):
+        """The dnn trains only the split-form data loss, so its check records
+        no physics terms and reports otherwise than the pinn's coupled loss."""
+        import hydropinn.adcheck
+        from hydropinn.adcheck import adcheck_from_config
+
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        physics = hydropinn.adcheck.taped_physics_losses
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return physics(*args)
+
+        monkeypatch.setattr(hydropinn.adcheck, "taped_physics_losses", counted)
+        reports = {}
+        for baseline in ("dnn", "pinn"):
+            calls.clear()
+            cfg = training.load_train_config(configs / f"{baseline}.json")
+            reports[baseline] = adcheck_from_config(cfg, order=4, tolerance=1e-5,
+                                                    max_coordinates=60, coord_seed=3)
+            assert reports[baseline].passed, reports[baseline].summary()
+            assert len(calls) == (baseline == "pinn")
+        dnn, pinn = reports["dnn"], reports["pinn"]
+        assert (dnn.max_rel_error, dnn.worst_coordinate) != \
+            (pinn.max_rel_error, pinn.worst_coordinate)
 
 
 class TestOffObjectiveTerms:
