@@ -7,7 +7,7 @@ gradient with the reverse tape, and checks it against central finite
 differences of a tape-free evaluation of the same loss. The two sides go
 through independent code paths: the probe re-evaluates the loss with the
 tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
-through `residuals`) while the gradient comes from the fused taped forward
+through `residuals`) while the gradient comes from the one-node taped forward
 and its hand-derived reverse.
 """
 

@@ -1,32 +1,23 @@
 """Reverse-mode tape over float64 numpy arrays.
 
-Recording happens through Var operators; nodes keep (op code, parent
-indices, local partials) and a single reverse sweep fills the adjoint
-buffer. A whole network forward is one `fused` node whose aux is a
-backward closure (`network.taped_forward`); it carries the input tangents,
-so PDE residual losses backpropagate to the parameters through the tangent
-computation itself -- forward-over-reverse without nested tapes.
+Every node is (parent indices, backward): `backward(adjoint)` returns the
+parents' adjoints in parent order; a leaf has no backward. One reverse
+sweep adds each reached node's returned adjoints into its parents'. Var
+operators record the elementwise loss nodes and do not broadcast a Var
+operand. A whole network forward is one node with a hand-derived backward
+(`network.taped_forward`) that carries the input tangents, so PDE residual
+losses backpropagate to the parameters through the tangent computation
+itself -- forward-over-reverse without nested tapes.
 
 A tape is reset and re-recorded every training iteration; `buffer` hands
-out arrays that survive `reset`, so what fused nodes keep for the reverse
-is allocated once. Vars recorded before the last `reset` are rejected.
-
-Constants (plain floats/arrays) never create nodes; only quantities
-reachable from leaves carry adjoints.
+out arrays that survive `reset`, so what network nodes keep for the
+reverse is allocated once. Vars recorded before the last `reset` are
+rejected. Constants (plain floats/arrays) never create nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class Node:
-    op: str
-    parents: tuple
-    aux: tuple
 
 
 class Var:
@@ -48,68 +39,60 @@ class Var:
     def shape(self):
         return self.value.shape
 
+    def _elementwise(self, operands: tuple, value, backward) -> "Var":
+        if any(v.shape != np.shape(value) for v in operands):
+            raise ValueError(f"Var op would broadcast {[v.shape for v in operands]} "
+                             f"to {np.shape(value)}")
+        return self.tape.node(operands, value, backward)
+
     def __add__(self, other):
         if isinstance(other, Var):
-            return self.tape._record("add", (self.index, other.index), (),
-                                     self.value + other.value)
-        return self.tape._record("id", (self.index,), (), self.value + other)
+            return self._elementwise((self, other), self.value + other.value,
+                                     lambda g: (g, g))
+        return self._elementwise((self,), self.value + other, lambda g: (g,))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self.tape._record("neg", (self.index,), (), -self.value)
-
     def __sub__(self, other):
         if isinstance(other, Var):
-            return self.tape._record("sub", (self.index, other.index), (),
-                                     self.value - other.value)
-        return self.tape._record("id", (self.index,), (), self.value - other)
-
-    def __rsub__(self, other):
-        return self.tape._record("neg", (self.index,), (), other - self.value)
+            return NotImplemented
+        return self._elementwise((self,), self.value - other, lambda g: (g,))
 
     def __mul__(self, other):
+        a = self.value
         if isinstance(other, Var):
-            return self.tape._record("mul", (self.index, other.index),
-                                     (self.value, other.value),
-                                     self.value * other.value)
-        other = np.asarray(other, dtype=float)
-        return self.tape._record("scale", (self.index,), (other,), self.value * other)
+            b = other.value
+            return self._elementwise((self, other), a * b, lambda g: (g * b, g * a))
+        c = np.asarray(other, dtype=float)
+        return self._elementwise((self,), a * c, lambda g: (g * c,))
 
     __rmul__ = __mul__
 
     def __abs__(self):
-        return self.tape._record("abs", (self.index,), (np.sign(self.value),),
-                                 np.abs(self.value))
+        sign = np.sign(self.value)
+        return self.tape.node((self,), np.abs(self.value), lambda g: (g * sign,))
 
     def mean(self):
-        return self.tape._record("mean", (self.index,),
-                                 (self.value.size, self.value.shape),
-                                 np.asarray(np.mean(self.value)))
+        n, shape = self.value.size, self.value.shape
+        return self.tape.node((self,), np.mean(self.value),
+                              lambda g: (np.broadcast_to(g / n, shape),))
 
     def __getitem__(self, key):
-        return self.tape._record("index", (self.index,), (key, self.value.shape),
-                                 self.value[key])
+        shape = self.value.shape
 
+        def backward(g):
+            full = np.zeros(shape)
+            full[key] = g
+            return (full,)
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the parent's shape."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+        return self.tape.node((self,), self.value[key], backward)
 
 
 class Tape:
-    """Append-only operation record with one-sweep reverse differentiation."""
+    """Append-only node record with one-sweep reverse differentiation."""
 
     def __init__(self):
-        self._nodes: list[Node] = []
-        self._values: list[np.ndarray] = []
+        self._nodes: list[tuple] = []
         self._buffers: list[np.ndarray] = []
         self._next_buffer = 0
         self._generation = 0
@@ -117,7 +100,6 @@ class Tape:
     def reset(self) -> None:
         """Drop every node, keeping the buffers for the next recording."""
         self._nodes.clear()
-        self._values.clear()
         self._next_buffer = 0
         self._generation += 1
 
@@ -138,18 +120,14 @@ class Tape:
 
     def leaf(self, value) -> Var:
         """Record an input (parameter) node that will receive an adjoint."""
-        return self._record("leaf", (), (), np.asarray(value, dtype=float))
+        return self.node((), value, None)
 
-    def fused(self, parents: list, value, backward) -> Var:
-        """One node for a computation over `parents`; `backward(adjoint)`
+    def node(self, parents, value, backward) -> Var:
+        """Record `value`, computed from the Vars `parents`; `backward(adjoint)`
         returns their adjoints in order."""
-        return self._record("fused", tuple(p.index for p in parents), (backward,), value)
-
-    def _record(self, op: str, parents: tuple, aux: tuple, value) -> Var:
-        value = np.asarray(value, dtype=float)
-        self._nodes.append(Node(op, parents, aux))
-        self._values.append(value)
-        return Var(self, len(self._nodes) - 1, value, self._generation)
+        self._nodes.append((tuple(p.index for p in parents), backward))
+        return Var(self, len(self._nodes) - 1, np.asarray(value, dtype=float),
+                   self._generation)
 
     def gradients(self, loss: Var, wrt: list[Var]) -> list[np.ndarray]:
         """Adjoints of `wrt` leaves for a scalar loss, via one reverse sweep."""
@@ -159,68 +137,14 @@ class Tape:
             raise ValueError("Var was recorded before the tape's last reset")
         if loss.value.size != 1:
             raise ValueError("gradients require a scalar loss")
-        adj: list = [None] * (loss.index + 1)
+        adj: list = [None] * len(self._nodes)
         adj[loss.index] = np.ones_like(loss.value)
-        nodes = self._nodes
-        values = self._values
         for idx in range(loss.index, -1, -1):
-            g = adj[idx]
-            if g is None:
+            parents, backward = self._nodes[idx]
+            if adj[idx] is None or backward is None:
                 continue
-            node = nodes[idx]
-            op = node.op
-
-            if op == "leaf":
-                continue
-            if op == "add":
-                a, b = node.parents
-                self._accum(adj, a, _unbroadcast(g, values[a].shape))
-                self._accum(adj, b, _unbroadcast(g, values[b].shape))
-            elif op == "sub":
-                a, b = node.parents
-                self._accum(adj, a, _unbroadcast(g, values[a].shape))
-                self._accum(adj, b, _unbroadcast(-g, values[b].shape))
-            elif op == "id":
-                self._accum(adj, node.parents[0], g)
-            elif op == "neg":
-                self._accum(adj, node.parents[0], -g)
-            elif op == "mul":
-                a, b = node.parents
-                av, bv = node.aux
-                self._accum(adj, a, _unbroadcast(g * bv, values[a].shape))
-                self._accum(adj, b, _unbroadcast(g * av, values[b].shape))
-            elif op == "scale":
-                (c,) = node.aux
-                a = node.parents[0]
-                self._accum(adj, a, _unbroadcast(g * c, values[a].shape))
-            elif op == "abs":
-                (partial,) = node.aux
-                self._accum(adj, node.parents[0], g * partial)
-            elif op == "fused":
-                (backward,) = node.aux
-                for parent, grad in zip(node.parents, backward(g)):
-                    self._accum(adj, parent, grad)
-            elif op == "mean":
-                n, shape = node.aux
-                self._accum(adj, node.parents[0],
-                            np.broadcast_to(g / n, shape))
-            elif op == "index":
-                key, shape = node.aux
-                full = np.zeros(shape)
-                full[key] = g
-                self._accum(adj, node.parents[0], full)
-            else:  # pragma: no cover - guarded by the op whitelist above
-                raise ValueError(f"unknown tape op {op!r}")
-        out = []
-        for v in wrt:
-            g = adj[v.index] if v.index <= loss.index else None
-            out.append(np.zeros_like(v.value) if g is None else g)
-        return out
-
-    @staticmethod
-    def _accum(adj: list, index: int, grad: np.ndarray) -> None:
-        # adjoints are never mutated in place, so sharing views is safe
-        if adj[index] is None:
-            adj[index] = grad
-        else:
-            adj[index] = adj[index] + grad
+            # adjoints are never mutated in place, so sharing views is safe
+            for p, grad in zip(parents, backward(adj[idx])):
+                adj[p] = grad if adj[p] is None else adj[p] + grad
+        return [np.zeros_like(v.value) if adj[v.index] is None else adj[v.index]
+                for v in wrt]

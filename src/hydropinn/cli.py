@@ -24,7 +24,7 @@ from .training import TrainingData, load_train_config, train
 
 
 @click.group()
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config/default random seed.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None,
               help="Directory for output files (created if missing).")

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import number, optional, read_object, text
 from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec
 from .moc import FieldGrid
@@ -44,16 +45,16 @@ class DatasetMeta:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetMeta":
-        if d.get("format") != META_FORMAT:
-            raise ConfigError(f"unsupported dataset metadata format: {d.get('format')!r}")
-        off = d.get("offtake_position_m")
-        return cls(
-            pipe=pipe_from_dict(d["pipe"]),
-            fluid=fluid_from_dict(d["fluid"]),
-            wave_speed=float(d["wave_speed_mps"]),
-            offtake_x=None if off is None else float(off),
-        )
+    def from_dict(cls, d) -> "DatasetMeta":
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != META_FORMAT:
+            raise ConfigError(f"unsupported dataset metadata format: {fmt!r}")
+        v = read_object(d, "", {
+            "format": text, "pipe": pipe_from_dict, "fluid": fluid_from_dict,
+            "wave_speed_mps": number, "offtake_position_m": optional(number),
+        }, ("pipe", "fluid", "wave_speed_mps"))
+        return cls(pipe=v["pipe"], fluid=v["fluid"], wave_speed=v["wave_speed_mps"],
+                   offtake_x=v.get("offtake_position_m"))
 
 
 def meta_path(dataset_path) -> Path:
@@ -137,4 +138,6 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
         raise FileNotFoundError(f"dataset metadata sidecar missing: {mpath}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{mpath} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{mpath}: {exc}") from exc
     return field, meta

@@ -8,8 +8,8 @@ residual under h = 1e6*P/(rho*g); a test suite pins that identity.
 
 The residual cores are written once over numpy arrays (evaluation, input
 derivatives from the tape-free `forward_with_input_tangents`) or tape Vars
-(training: the outputs of `taped_forward`'s one fused node, the residual
-arithmetic recorded op by op). Reductions are fixed-order numpy means,
+(training: the outputs of `taped_forward`'s one network node, the
+residual arithmetic recorded op by op). Reductions are fixed-order numpy means,
 keeping loss values deterministic.
 """
 

@@ -18,7 +18,7 @@ hand-derived reverse, for training gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +112,6 @@ class NetSpec:
                 float(sc["t_min"]), float(sc["t_max"]),
             ),
         )
-
-    def with_scaler(self, scaler: InputScaler) -> "NetSpec":
-        return replace(self, scaler=scaler)
 
 
 SOFTPLUS_INIT_GAIN = 1.2
@@ -280,7 +277,8 @@ def params_to_vars(tape: Tape, params: NetParams) -> list:
 
 def taped_forward(spec: NetSpec, param_vars: list, x, t,
                   with_tangents: bool = False):
-    """Forward pass recorded as one fused node on the tape of `param_vars`.
+    """Forward pass recorded as one node on the tape of `param_vars`, whose
+    backward is the hand-derived reverse below.
 
     Without tangents returns (P, v) Vars; with tangents additionally
     returns (Px, Pt, vx, vt) Vars whose parameter adjoints carry the
@@ -352,7 +350,7 @@ def taped_forward(spec: NetSpec, param_vars: list, x, t,
             g = zbar
         return grads
 
-    out = tape.fused([p for pair in param_vars for p in pair], y, backward)
+    out = tape.node([p for pair in param_vars for p in pair], y, backward)
     if not with_tangents:
         return out[:m, 0], out[:m, 1]
     return (out[:m, 0], out[:m, 1],

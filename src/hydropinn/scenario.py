@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import list_of, nested, number, optional, read_object
 from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec
 
@@ -87,74 +88,56 @@ class Scenario:
                 raise ConfigError("offtake flowrate must be zero at t=0")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key '{key}' in {context}")
-    return mapping[key]
+FLUID_KEYS = {"density_kgpm3": "density",
+              "kinematic_viscosity_m2ps": "kinematic_viscosity",
+              "bulk_modulus_pa": "bulk_modulus"}
+PIPE_KEYS = {"length_m": "length", "diameter_m": "diameter",
+             "wall_thickness_m": "wall_thickness",
+             "pipe_elasticity_pa": "pipe_elasticity",
+             "constraint_coeff": "constraint_coeff",
+             "friction_factor": "friction_factor", "gravity_mps2": "gravity"}
 
 
-def fluid_from_dict(d: dict) -> FluidSpec:
-    return FluidSpec(
-        density=float(_require(d, "density_kgpm3", "fluid")),
-        kinematic_viscosity=float(_require(d, "kinematic_viscosity_m2ps", "fluid")),
-        bulk_modulus=float(_require(d, "bulk_modulus_pa", "fluid")),
-    )
+def fluid_from_dict(d, path: str = "fluid") -> FluidSpec:
+    values = read_object(d, path, dict.fromkeys(FLUID_KEYS, number), FLUID_KEYS)
+    return FluidSpec(**{FLUID_KEYS[k]: v for k, v in values.items()})
 
 
 def fluid_to_dict(fluid: FluidSpec) -> dict:
-    return {
-        "density_kgpm3": fluid.density,
-        "kinematic_viscosity_m2ps": fluid.kinematic_viscosity,
-        "bulk_modulus_pa": fluid.bulk_modulus,
-    }
+    return {k: getattr(fluid, name) for k, name in FLUID_KEYS.items()}
 
 
-def pipe_from_dict(d: dict) -> PipelineSpec:
-    f = d.get("friction_factor")
-    return PipelineSpec(
-        length=float(_require(d, "length_m", "pipe")),
-        diameter=float(_require(d, "diameter_m", "pipe")),
-        wall_thickness=float(d.get("wall_thickness_m", 0.007)),
-        pipe_elasticity=float(d.get("pipe_elasticity_pa", 2.07e11)),
-        constraint_coeff=float(d.get("constraint_coeff", 1.0)),
-        friction_factor=None if f is None else float(f),
-        gravity=float(d.get("gravity_mps2", 9.81)),
-    )
+def pipe_from_dict(d, path: str = "pipe") -> PipelineSpec:
+    readers = {**dict.fromkeys(PIPE_KEYS, number), "friction_factor": optional(number)}
+    values = read_object(d, path, readers, ("length_m", "diameter_m"))
+    return PipelineSpec(**{PIPE_KEYS[k]: v for k, v in values.items()})
 
 
 def pipe_to_dict(pipe: PipelineSpec) -> dict:
-    return {
-        "length_m": pipe.length,
-        "diameter_m": pipe.diameter,
-        "wall_thickness_m": pipe.wall_thickness,
-        "pipe_elasticity_pa": pipe.pipe_elasticity,
-        "constraint_coeff": pipe.constraint_coeff,
-        "friction_factor": pipe.friction_factor,
-        "gravity_mps2": pipe.gravity,
-    }
+    return {k: getattr(pipe, name) for k, name in PIPE_KEYS.items()}
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    offtake = None
-    if d.get("offtake") is not None:
-        od = d["offtake"]
-        offtake = Offtake(
-            position=float(_require(od, "position_m", "offtake")),
-            flowrate=PiecewiseSignal.from_breakpoints(
-                _require(od, "flowrate_m3ps", "offtake")
-            ),
-        )
+def _signal(value, key) -> PiecewiseSignal:
+    pairs = list_of(list_of(number))(value, key)
+    try:
+        return PiecewiseSignal.from_breakpoints(pairs)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def scenario_from_dict(d) -> Scenario:
+    offtake = nested({"position_m": number, "flowrate_m3ps": _signal},
+                     ("position_m", "flowrate_m3ps"))
+    v = read_object(d, "", {
+        "pipe": pipe_from_dict, "fluid": fluid_from_dict, "duration_s": number,
+        "inlet_pressure_mpa": _signal, "outlet_flowrate_m3ps": _signal,
+        "offtake": optional(offtake),
+    }, ("pipe", "fluid", "duration_s", "inlet_pressure_mpa", "outlet_flowrate_m3ps"))
+    off = v.get("offtake")
     return Scenario(
-        pipe=pipe_from_dict(_require(d, "pipe", "scenario")),
-        fluid=fluid_from_dict(_require(d, "fluid", "scenario")),
-        duration=float(_require(d, "duration_s", "scenario")),
-        inlet_pressure=PiecewiseSignal.from_breakpoints(
-            _require(d, "inlet_pressure_mpa", "scenario")
-        ),
-        outlet_flowrate=PiecewiseSignal.from_breakpoints(
-            _require(d, "outlet_flowrate_m3ps", "scenario")
-        ),
-        offtake=offtake,
+        pipe=v["pipe"], fluid=v["fluid"], duration=v["duration_s"],
+        inlet_pressure=v["inlet_pressure_mpa"], outlet_flowrate=v["outlet_flowrate_m3ps"],
+        offtake=None if off is None else Offtake(off["position_m"], off["flowrate_m3ps"]),
     )
 
 
@@ -177,11 +160,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

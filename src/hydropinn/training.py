@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import count, list_of, nested, number, optional, read_object, text
 from .errors import ConfigError, NumericalBlowupError, TrainingDivergedError
 from .losses import (
     CollocationSet,
@@ -84,7 +85,6 @@ class TrainConfig:
     bc_loss_form: str = "paper"
     bc_retention_factor: float = 10.0
     divergence_threshold: float = 1e6
-    lr_decay: float = 1.0  # per-iteration multiplicative factor; 1.0 = constant rate
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -125,38 +125,26 @@ class TrainConfig:
             "bc_loss_form": self.bc_loss_form,
             "bc_retention_factor": self.bc_retention_factor,
             "divergence_threshold": self.divergence_threshold,
-            "lr_decay": self.lr_decay,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        net = d.get("network", {})
-        adam = d.get("adam", {})
-        w = d.get("weights", {})
-        kwargs = dict(
-            baseline=d.get("baseline", "kih"),
-            hidden_layers=int(net.get("hidden_layers", 10)),
-            width=int(net.get("width", 50)),
-            activation=net.get("activation", "softplus"),
-            batch_size=int(d.get("batch_size", 128)),
-            learning_rate=float(d.get("learning_rate", 1e-4)),
-            beta1=float(adam.get("beta1", 0.9)),
-            beta2=float(adam.get("beta2", 0.999)),
-            eps=float(adam.get("eps", 1e-8)),
-            seed=int(d.get("seed", 0)),
-            weights=LossWeights(
-                bc=float(w.get("bc", 1.0)), ic=float(w.get("ic", 1.0)),
-                con=float(w.get("con", 1.0)), mo=float(w.get("mo", 1.0)),
-            ),
-            bc_loss_form=d.get("bc_loss_form", "paper"),
-            bc_retention_factor=float(d.get("bc_retention_factor", 10.0)),
-            divergence_threshold=float(d.get("divergence_threshold", 1e6)),
-            lr_decay=float(d.get("lr_decay", 1.0)),
-        )
-        if "stage_iterations" in d:
-            kwargs["stage_iterations"] = tuple(int(n) for n in d["stage_iterations"])
-        if d.get("iterations") is not None:
-            kwargs["iterations"] = int(d["iterations"])
+    def from_dict(cls, d) -> "TrainConfig":
+        """Config from its JSON object; absent keys keep their defaults."""
+        kwargs = read_object(d, "", {
+            "baseline": text, "stage_iterations": list_of(count),
+            "iterations": optional(count), "batch_size": count,
+            "learning_rate": number, "seed": count, "bc_loss_form": text,
+            "bc_retention_factor": number, "divergence_threshold": number,
+            "network": nested({"hidden_layers": count, "width": count,
+                               "activation": text}),
+            "adam": nested({"beta1": number, "beta2": number, "eps": number}),
+            "weights": nested(dict.fromkeys(("bc", "ic", "con", "mo"), number)),
+        })
+        kwargs.update(**kwargs.pop("network", {}), **kwargs.pop("adam", {}))
+        if "weights" in kwargs:
+            kwargs["weights"] = LossWeights(**kwargs["weights"])
+        if "stage_iterations" in kwargs:
+            kwargs["stage_iterations"] = tuple(kwargs["stage_iterations"])
         return cls(**kwargs)
 
 
@@ -405,7 +393,6 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     start_obj = best_obj = _weighted_sum(objective, held)
     best = theta.copy()
     adam = AdamState.zeros(theta.size)
-    lr = cfg.learning_rate
     tape = Tape()
 
     for k in range(iterations):
@@ -428,16 +415,14 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
         grads = tape.gradients(loss_var, [var for pair in pvars for var in pair])
         try:
-            adam_step(theta, np.concatenate([g.ravel() for g in grads]), adam, lr,
-                      cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(theta, np.concatenate([g.ravel() for g in grads]), adam,
+                      cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
         except NumericalBlowupError as exc:
             bad = [name for name in LOSS_TERMS if not np.isfinite(row[name])]
             raise NumericalBlowupError(
                 f"stage {stage_id} iteration {it}: {exc}; "
                 f"non-finite loss terms: {bad or 'none (gradient only)'}"
             ) from exc
-        if cfg.lr_decay != 1.0:
-            lr *= cfg.lr_decay
 
         trace.rows.append(TraceRow(
             stage=stage_id, iteration=it,

@@ -266,6 +266,59 @@ class TestTape:
             assert np.allclose(d, v.value, rtol=1e-13, atol=1e-15)
 
 
+_C = np.array([0.7, -1.3, 2.1, 0.4, -0.9])
+VAR_OPS = {
+    "var+var": lambda a, b: a + b,
+    "var+const": lambda a, b: a + _C,
+    "var-const": lambda a, b: a - _C,
+    "var*var": lambda a, b: a * b,
+    "var*const": lambda a, b: a * _C,
+    "const*var": lambda a, b: _C * a,
+    "abs": lambda a, b: abs(a),
+    "mean": lambda a, b: a.mean(),
+    "index": lambda a, b: a[np.array([3, 0, 4])],
+}
+
+
+class TestVarOps:
+    @pytest.mark.parametrize("name", list(VAR_OPS))
+    def test_adjoint_matches_central_differences(self, name, rng):
+        op = VAR_OPS[name]
+        # magnitudes away from zero and both signs, so abs is smooth at +-h
+        a = rng.uniform(0.2, 1.0, 5) * np.array([1.0, -1.0, 1.0, -1.0, -1.0])
+        b = rng.normal(size=5)
+        w = rng.normal(size=np.shape(op(a, b)))
+
+        def loss(a, b):
+            return float(np.mean(op(a, b) * w))
+
+        tape = Tape()
+        va, vb = tape.leaf(a), tape.leaf(b)
+        ga, gb = tape.gradients((op(va, vb) * w).mean(), [va, vb])
+        h = 1e-6
+        for x, g in ((a, ga), (b, gb)):
+            fd = np.empty_like(x)
+            for i in range(x.size):
+                x[i] += h
+                up = loss(a, b)
+                x[i] -= 2 * h
+                fd[i] = (up - loss(a, b)) / (2 * h)
+                x[i] += h
+            assert np.allclose(g, fd, rtol=1e-7, atol=1e-9), (name, g, fd)
+
+    def test_broadcasting_a_var_and_var_minus_var_are_rejected(self):
+        tape = Tape()
+        x = tape.leaf(np.ones(3))
+        with pytest.raises(ValueError, match="broadcast"):
+            x + tape.leaf(np.ones(1))
+        with pytest.raises(ValueError, match="broadcast"):
+            x * np.ones((2, 3))
+        with pytest.raises(ValueError, match="broadcast"):
+            x.mean() + np.ones(3)
+        with pytest.raises(TypeError):
+            x - x
+
+
 class TestSecondOrderCrossTerms:
     def test_grad_of_input_derivative_matches_fd(self, rng):
         """d/dtheta of (dNN/dx at fixed points): the quantity PDE losses

@@ -82,6 +82,36 @@ class TestUsage:
         assert main(["--help"]) == 0
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("kind, edit, key", [
+        ("train", lambda d: d.update(weigths={"bc": 2.0}), "weigths"),
+        ("scenario", lambda d: d["pipe"].update(gravity=1.0), "pipe.gravity"),
+        ("train", lambda d: d["network"].update(hidden_layers="ten"),
+         "network.hidden_layers"),
+        ("train", lambda d: d.update(network=[1, 2]), "network"),
+        ("train", lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
+        ("train", lambda d: d.update(lr_decay=1.0), "lr_decay"),
+    ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
+            "lr_decay"])
+    def test_unknown_key_or_bad_value_is_config_error(
+            self, kind, edit, key, tiny_scenario_file, tiny_train_config,
+            tiny_dataset, tmp_path, capsys):
+        source = tiny_train_config if kind == "train" else tiny_scenario_file
+        d = json.loads(source.read_text())
+        edit(d)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        if kind == "train":
+            code = main(["train", str(path), str(tiny_dataset), "-o", str(out)])
+        else:
+            code = main(["generate", str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config:") and key in err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def checkpoint(tiny_train_config, tiny_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt") / "tiny.npz"

@@ -114,6 +114,17 @@ class TestDatasetCsv:
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "absent.csv")
 
+    def test_sidecar_unknown_key_named(self, tmp_path, rng, fluid, pipe):
+        meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,
+                           wave_speed=1190.0)
+        path = tmp_path / "ds.csv"
+        write_dataset(self._random_field(rng), meta, path)
+        sidecar = json.loads(meta_path(path).read_text())
+        sidecar["fluid"]["density"] = 900.0
+        meta_path(path).write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match=r"meta\.json: unknown key 'fluid\.density'"):
+            read_dataset(path)
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path, fluid, pipe):
