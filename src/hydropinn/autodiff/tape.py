@@ -4,10 +4,11 @@ Every node is (parent indices, backward): `backward(adjoint)` returns the
 parents' adjoints in parent order; a leaf has no backward. One reverse
 sweep adds each reached node's returned adjoints into its parents'. Var
 operators record the elementwise loss nodes and do not broadcast a Var
-operand. A whole network forward is one node with a hand-derived backward
-(`network.taped_forward`) that carries the input tangents, so PDE residual
-losses backpropagate to the parameters through the tangent computation
-itself -- forward-over-reverse without nested tapes.
+operand; indexing takes int and slice keys only. A whole network forward
+is one node with a hand-derived backward (`network.taped_forward`) that
+carries the input tangents, so PDE residual losses backpropagate to the
+parameters through the tangent computation itself -- forward-over-reverse
+without nested tapes.
 
 A tape is reset and re-recorded every training iteration; `buffer` hands
 out arrays that survive `reset`, so what network nodes keep for the
@@ -78,6 +79,11 @@ class Var:
                               lambda g: (np.broadcast_to(g / n, shape),))
 
     def __getitem__(self, key):
+        # basic keys only: the backward's `full[key] = g` would keep one of
+        # the adjoints of an index that an integer array or list repeats
+        if not all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
+                   for k in (key if isinstance(key, tuple) else (key,))):
+            raise TypeError(f"a Var takes only int and slice keys, got {key!r}")
         shape = self.value.shape
 
         def backward(g):

@@ -61,20 +61,22 @@ def meta_path(dataset_path) -> Path:
     return Path(str(dataset_path) + ".meta.json")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_dataset(field: FieldGrid, meta: DatasetMeta, path) -> None:
+    """Write the CSV one time block at a time, then the sidecar.
+
+    The x strings are formatted once; each block's P/v values are formatted
+    from Python floats, so the file holds the same bytes as formatting every
+    cell with ``format(value, ".17g")``, without holding the whole file in
+    memory.
+    """
     path = Path(path)
-    lines = [CSV_HEADER]
-    for j, t in enumerate(field.ts):
-        ts_s = _fmt(t)
-        for i, x in enumerate(field.xs):
-            lines.append(
-                f"{_fmt(x)},{ts_s},{_fmt(field.P[j, i])},{_fmt(field.v[j, i])}"
-            )
-    path.write_text("\n".join(lines) + "\n")
+    xs = [f"{x:.17g}," for x in field.xs.tolist()]
+    with path.open("w") as out:
+        out.write(CSV_HEADER + "\n")
+        for t, P_row, v_row in zip(field.ts.tolist(), field.P, field.v):
+            ts = f"{t:.17g},"
+            out.write("".join([f"{x}{ts}{p:.17g},{v:.17g}\n"
+                               for x, p, v in zip(xs, P_row.tolist(), v_row.tolist())]))
     meta_path(path).write_text(json.dumps(meta.to_dict(), indent=2) + "\n")
 
 

@@ -11,6 +11,12 @@ evaluated at the foot of each characteristic, are
 with B = a/g and R = f*dt/(2D). The inlet node takes head from the
 pressure signal and velocity from C-; the outlet node takes velocity from
 the flowrate signal and head from C+.
+
+One kernel, `_step_into`, computes a step without allocating: B*V and
+B*R*V|V| are formed once and shared by both families of feet, and the new
+state is written into caller-owned rows. `run_details` steps it straight
+into the rows of its output arrays and checks finiteness over blocks of
+CHECK_ROWS rows; `moc_step` runs it once into fresh arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .hydraulics import (
     PipelineSpec,
     flowrate_to_velocity,
     friction_factor,
-    head_to_pressure,
     pressure_to_head,
     steady_profile,
     wave_speed,
@@ -106,6 +111,50 @@ def build_grid(pipe: PipelineSpec, fluid: FluidSpec, dt: float) -> MocGrid:
     return MocGrid(dt=dt, dx=dx, node_count=node_count, wave_speed=a_grid)
 
 
+# rows of the output arrays whose finiteness `run_details` checks at once
+CHECK_ROWS = 64
+
+
+def _step_into(H, V, Hn, Vn, scratch, inlet_head, outlet_velocity, B, BR,
+               offtake_index, offtake_velocity) -> None:
+    """Write the step after head H / velocity V into Hn / Vn, allocating nothing.
+
+    `scratch` is four arrays the size of H; BR is B*R. B*V and (B*R*V)*|V|
+    are formed once over all nodes and shared by the C+ feet (nodes
+    0..n-2) and the C- feet (nodes 1..n-1). Overflow warnings are left to
+    the caller's errstate.
+    """
+    bv, fr, cp, cm = scratch
+    np.multiply(V, B, out=bv)
+    np.abs(V, out=cp)
+    np.multiply(V, BR, out=fr)
+    np.multiply(fr, cp, out=fr)
+    np.add(H, bv, out=cp)
+    np.subtract(cp, fr, out=cp)  # cp[i]: C+ foot at node i
+    np.subtract(H, bv, out=cm)
+    np.add(cm, fr, out=cm)  # cm[i]: C- foot at node i
+    k = offtake_index
+    if k is not None and offtake_velocity != 0.0:
+        # the downstream side of the offtake carries V - offtake_velocity
+        vd = V[k] - offtake_velocity
+        cp[k] = (H[k] + B * vd) - BR * vd * abs(vd)
+    inner = Hn[1:-1]
+    np.add(cp[:-2], cm[2:], out=inner)
+    np.multiply(inner, 0.5, out=inner)
+    inner = Vn[1:-1]
+    np.subtract(cp[:-2], cm[2:], out=inner)
+    np.divide(inner, 2.0 * B, out=inner)
+    Hn[0] = inlet_head
+    Vn[0] = (inlet_head - cm[1]) / B
+    Vn[-1] = outlet_velocity
+    Hn[-1] = cp[-2] - B * outlet_velocity
+    if k is not None:
+        # upstream-side velocity at the offtake node; both sides share its head
+        v_up = (cp[k - 1] - cm[k + 1] + B * offtake_velocity) / (2.0 * B)
+        Vn[k] = v_up
+        Hn[k] = cp[k - 1] - B * v_up
+
+
 def moc_step(
     H: np.ndarray,
     V: np.ndarray,
@@ -118,33 +167,16 @@ def moc_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance head/velocity one time step; returns new arrays.
 
-    At an offtake node, V stores the upstream-side velocity and the
-    downstream side carries V - offtake_velocity (common head).
+    Runs the in-place kernel `run_details` steps with into fresh arrays and
+    checks them for non-finite values. At an offtake node, V stores the
+    upstream-side velocity and the downstream side carries
+    V - offtake_velocity (common head).
     """
-    n = H.size
-    v_down = V
-    if offtake_index is not None and offtake_velocity != 0.0:
-        v_down = V.copy()
-        v_down[offtake_index] = V[offtake_index] - offtake_velocity
-    vf = v_down[:-1]  # C+ foot values, arriving at nodes 1..n-1
-    vb = V[1:]  # C- foot values, arriving at nodes 0..n-2
+    Hn = np.empty_like(H)
+    Vn = np.empty_like(V)
     with np.errstate(over="ignore", invalid="ignore"):
-        cp = H[:-1] + B * vf - B * R * vf * np.abs(vf)
-        cm = H[1:] - B * vb + B * R * vb * np.abs(vb)
-
-        Hn = np.empty_like(H)
-        Vn = np.empty_like(V)
-        Hn[1:-1] = 0.5 * (cp[:-1] + cm[1:])
-        Vn[1:-1] = (cp[:-1] - cm[1:]) / (2.0 * B)
-        Hn[0] = inlet_head
-        Vn[0] = (inlet_head - cm[0]) / B
-        Vn[n - 1] = outlet_velocity
-        Hn[n - 1] = cp[-1] - B * outlet_velocity
-        if offtake_index is not None:
-            k = offtake_index
-            v_up = (cp[k - 1] - cm[k] + B * offtake_velocity) / (2.0 * B)
-            Vn[k] = v_up
-            Hn[k] = cp[k - 1] - B * v_up
+        _step_into(H, V, Hn, Vn, np.empty((4, H.size)), inlet_head, outlet_velocity,
+                   B, B * R, offtake_index, offtake_velocity)
     if not (np.all(np.isfinite(Hn)) and np.all(np.isfinite(Vn))):
         raise NumericalBlowupError("non-finite head or velocity after MOC step")
     return Hn, Vn
@@ -160,8 +192,23 @@ def run(scenario: Scenario, dt: float = 0.5) -> FieldGrid:
     return run_details(scenario, dt)[0]
 
 
+def _check_rows(H_out, V_out, j0: int, j1: int, ts) -> None:
+    """Raise at the first step among rows j0..j1-1 with a non-finite value."""
+    bad = ~(np.isfinite(H_out[j0:j1]).all(axis=1) & np.isfinite(V_out[j0:j1]).all(axis=1))
+    if bad.any():
+        j = j0 + int(np.argmax(bad))
+        raise NumericalBlowupError("non-finite head or velocity after MOC step "
+                                   f"(step {j}, t={ts[j]:.3f} s)", step=j)
+
+
 def run_details(scenario: Scenario, dt: float = 0.5):
-    """Like `run`, but also returns the MocGrid and the frozen-friction pipe."""
+    """Like `run`, but also returns the MocGrid and the frozen-friction pipe.
+
+    Each step is written in place into its row of the output arrays. P holds
+    head until the last step and is then converted to pressure in place.
+    Finiteness is checked every CHECK_ROWS rows and reported at the first
+    non-finite step, as a check after every step would report it.
+    """
     pipe, fluid = scenario.pipe, scenario.fluid
     grid = build_grid(pipe, fluid, dt)
     xs = grid.positions
@@ -177,8 +224,6 @@ def run_details(scenario: Scenario, dt: float = 0.5):
         pipe, fluid, float(scenario.inlet_pressure(0.0)),
         float(scenario.outlet_flowrate(0.0)), positions=xs,
     )
-    H = np.asarray(pressure_to_head(profile.pressure, fluid.density, pipe.gravity))
-    V = np.full(grid.node_count, profile.velocity)
 
     offtake_index = None
     offtake_signal = None
@@ -193,10 +238,10 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     B = grid.wave_speed / pipe.gravity
     R = f * dt / (2.0 * pipe.diameter)
 
-    P_out = np.empty((n_steps + 1, grid.node_count))
+    P_out = np.empty((n_steps + 1, grid.node_count))  # head until converted
     v_out = np.empty((n_steps + 1, grid.node_count))
-    P_out[0] = profile.pressure
-    v_out[0] = V
+    P_out[0] = pressure_to_head(profile.pressure, fluid.density, pipe.gravity)
+    v_out[0] = profile.velocity
 
     # boundary signals at every step, evaluated once
     inlet_heads = pressure_to_head(scenario.inlet_pressure(ts), fluid.density,
@@ -204,13 +249,18 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     outlet_vs = flowrate_to_velocity(scenario.outlet_flowrate(ts), pipe.diameter).tolist()
     off_vs = ((offtake_signal(ts) / area).tolist() if offtake_signal is not None
               else [0.0] * ts.size)
-    for j in range(1, n_steps + 1):
-        try:
-            H, V = moc_step(H, V, inlet_heads[j], outlet_vs[j], B, R, offtake_index, off_vs[j])
-        except NumericalBlowupError as exc:
-            raise NumericalBlowupError(f"{exc} (step {j}, t={ts[j]:.3f} s)", step=j) from exc
-        P_out[j] = head_to_pressure(H, fluid.density, pipe.gravity)
-        v_out[j] = V
+    scratch = np.empty((4, grid.node_count))
+    BR = B * R
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(1, n_steps + 1, CHECK_ROWS):
+            j1 = min(j0 + CHECK_ROWS, n_steps + 1)
+            for j in range(j0, j1):
+                _step_into(P_out[j - 1], v_out[j - 1], P_out[j], v_out[j], scratch,
+                           inlet_heads[j], outlet_vs[j], B, BR, offtake_index, off_vs[j])
+            _check_rows(P_out, v_out, j0, j1, ts)
+    # head_to_pressure's arithmetic, in place
+    np.multiply(P_out, fluid.density * pipe.gravity / 1e6, out=P_out)
+    P_out[0] = profile.pressure
 
     return FieldGrid(xs=xs, ts=ts, P=P_out, v=v_out), grid, pipe
 

@@ -99,6 +99,14 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.bc_loss_form not in ("paper", "split"):
             raise ConfigError("bc_loss_form must be 'paper' or 'split'")
+        for key, value in (("divergence_threshold", self.divergence_threshold),
+                           ("bc_retention_factor", self.bc_retention_factor),
+                           ("adam.eps", self.eps)):
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value!r}")
+        for key, value in (("adam.beta1", self.beta1), ("adam.beta2", self.beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
 
     @property
     def total_iterations(self) -> int:

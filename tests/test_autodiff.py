@@ -276,7 +276,7 @@ VAR_OPS = {
     "const*var": lambda a, b: _C * a,
     "abs": lambda a, b: abs(a),
     "mean": lambda a, b: a.mean(),
-    "index": lambda a, b: a[np.array([3, 0, 4])],
+    "index": lambda a, b: a[1:4],
 }
 
 
@@ -305,6 +305,26 @@ class TestVarOps:
                 fd[i] = (up - loss(a, b)) / (2 * h)
                 x[i] += h
             assert np.allclose(g, fd, rtol=1e-7, atol=1e-9), (name, g, fd)
+
+    def test_slice_keys_scatter_and_advanced_keys_are_rejected(self):
+        # the (slice, int) keys `taped_forward` splits its output with
+        m = 2
+        value = np.arange(12.0).reshape(3 * m, 2)
+        for key in ((slice(None, m), 0), (slice(m, 2 * m), 0), (slice(2 * m, None), 1),
+                    np.int64(1), slice(1, 5)):
+            tape = Tape()
+            x = tape.leaf(value)
+            (g,) = tape.gradients(x[key].mean(), [x])
+            expected = np.zeros_like(value)
+            expected[key] = 1.0 / value[key].size
+            assert np.array_equal(g, expected), key
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, 2.0, 3.0]))
+        # a repeated integer-array index would keep only one of its adjoints
+        for key in (np.array([0, 0]), [0, 1], np.array([True, False, True]), True,
+                    (slice(None), np.array([0])), None, Ellipsis):
+            with pytest.raises(TypeError, match="int and slice keys"):
+                x[key]
 
     def test_broadcasting_a_var_and_var_minus_var_are_rejected(self):
         tape = Tape()

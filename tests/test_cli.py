@@ -91,8 +91,14 @@ class TestConfigKeys:
         ("train", lambda d: d.update(network=[1, 2]), "network"),
         ("train", lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
         ("train", lambda d: d.update(lr_decay=1.0), "lr_decay"),
+        ("train", lambda d: d.update(divergence_threshold=-5.0), "divergence_threshold"),
+        ("train", lambda d: d.update(bc_retention_factor=0.0), "bc_retention_factor"),
+        ("train", lambda d: d.setdefault("adam", {}).update(beta1=1.0), "adam.beta1"),
+        ("train", lambda d: d.setdefault("adam", {}).update(beta2=-0.1), "adam.beta2"),
+        ("train", lambda d: d.setdefault("adam", {}).update(eps=0.0), "adam.eps"),
     ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
-            "lr_decay"])
+            "lr_decay", "divergence_threshold", "bc_retention_factor", "beta1", "beta2",
+            "eps"])
     def test_unknown_key_or_bad_value_is_config_error(
             self, kind, edit, key, tiny_scenario_file, tiny_train_config,
             tiny_dataset, tmp_path, capsys):

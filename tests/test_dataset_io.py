@@ -49,6 +49,20 @@ class TestDatasetCsv:
         write_dataset(back, meta2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_equal_per_cell_formatting(self, tmp_path, rng, fluid, pipe):
+        # the reference formats every cell of every row on its own
+        field = self._random_field(rng)
+        meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,
+                           wave_speed=1190.476)
+        path = tmp_path / "ds.csv"
+        write_dataset(field, meta, path)
+        lines = ["x_m,t_s,pressure_mpa,velocity_mps"]
+        for j, t in enumerate(field.ts):
+            for i, x in enumerate(field.xs):
+                lines.append(",".join(format(value, ".17g") for value in
+                                      (x, t, field.P[j, i], field.v[j, i])))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n1,2,3,4\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hydropinn.hydraulics import (
     PipelineSpec,
     flowrate_to_velocity,
     friction_factor,
+    head_to_pressure,
     pressure_to_head,
     steady_profile,
     wave_speed,
@@ -174,7 +177,9 @@ class TestRun:
                           [[0.0, Q_START], [1.0, 10.0]]))
         with pytest.raises(NumericalBlowupError) as exc_info:
             run(sc, 0.5)
-        assert exc_info.value.step is not None
+        # the first step whose head or velocity is non-finite
+        assert exc_info.value.step == 13
+        assert "(step 13, t=6.500 s)" in str(exc_info.value)
 
     def test_nan_state_rejected_by_step(self, fluid, pipe):
         from hydropinn.errors import NumericalBlowupError
@@ -184,6 +189,60 @@ class TestRun:
         V = np.zeros(grid.node_count)
         with pytest.raises(NumericalBlowupError):
             moc_step(H, V, 100.0, 0.0, grid.wave_speed / pipe.gravity, 0.0)
+
+
+def drawing_offtake_scenario(pipe, fluid):
+    """The ramp scenario with its mid-line offtake drawing 0 -> 0.01 m^3/s
+    over 100-160 s."""
+    return replace(make_ramp_scenario(pipe, fluid, with_offtake=False),
+                   offtake=Offtake(position=25_000.0,
+                                   flowrate=PiecewiseSignal.from_breakpoints(
+                                       [[0.0, 0.0], [100.0, 0.0], [160.0, 0.01]])))
+
+
+class TestDrawingOfftake:
+    def test_run_rows_equal_a_loop_of_moc_step(self, fluid, pipe):
+        sc = drawing_offtake_scenario(pipe, fluid)
+        field, grid, frozen = run_details(sc, 0.5)
+        ts = field.ts
+        B = grid.wave_speed / frozen.gravity
+        R = frozen.friction_factor * 0.5 / (2.0 * frozen.diameter)
+        k = int(round(25_000.0 / grid.dx))
+        inlet = pressure_to_head(sc.inlet_pressure(ts), fluid.density, frozen.gravity)
+        outlet = flowrate_to_velocity(sc.outlet_flowrate(ts), frozen.diameter)
+        off = sc.offtake.flowrate(ts) / frozen.area
+        assert off[-1] > 0.0
+        H = pressure_to_head(field.P[0], fluid.density, frozen.gravity)
+        V = field.v[0]
+        for j in range(1, ts.size):
+            H, V = moc_step(H, V, inlet[j], outlet[j], B, R, k, off[j])
+            P = head_to_pressure(H, fluid.density, frozen.gravity)
+            assert P.tobytes() == field.P[j].tobytes(), j
+            assert V.tobytes() == field.v[j].tobytes(), j
+
+    def test_mass_balance(self, fluid, pipe):
+        """Line-pack change (gA/a^2) * integral of H dx equals the cumulative
+        integral of (Q_in - Q_out - Q_off) dt, both by the trapezoid rule.
+
+        The error is first order in dt: 4.1e-3 m^3 at dt 0.5 s and 8.3e-4 m^3
+        at dt 0.1 s, against a line-pack change of 0.114 m^3. The bounds
+        leave ~20% on those figures and ask the error to fall by at least 3x.
+        """
+        sc = drawing_offtake_scenario(pipe, fluid)
+        errors = {}
+        for dt in (0.5, 0.1):
+            field, grid, frozen = run_details(sc, dt)
+            area = frozen.area
+            H = pressure_to_head(field.P, fluid.density, frozen.gravity)
+            pack = (frozen.gravity * area / grid.wave_speed**2
+                    * np.trapezoid(H, field.xs, axis=1))
+            net = (field.v[:, 0] - field.v[:, -1]) * area - sc.offtake.flowrate(field.ts)
+            inflow = np.concatenate([[0.0], np.cumsum(0.5 * (net[1:] + net[:-1]) * dt)])
+            assert pack[-1] - pack[0] == pytest.approx(0.114, rel=0.05)
+            errors[dt] = np.max(np.abs(pack - pack[0] - inflow))
+        assert errors[0.5] < 5e-3
+        assert errors[0.1] < 1e-3
+        assert errors[0.5] > 3.0 * errors[0.1]
 
 
 class TestClosedForm:
