@@ -22,19 +22,7 @@ from .hydraulics import (
     velocity_to_flowrate,
     wave_speed,
 )
-from .losses import (
-    CollocationSet,
-    LossWeights,
-    PhysicsCoefficients,
-    collocation_from_field,
-    coupled_loss,
-    loss_bc,
-    loss_con,
-    loss_ic,
-    loss_mo,
-    residual_con,
-    residual_mo,
-)
+from .losses import CollocationSet, LossWeights, PhysicsCoefficients, collocation_from_field
 from .metrics import (
     MetricsReport,
     MetricsRow,

@@ -4,31 +4,31 @@ Builds a synthetic problem (random sample points, random but plausible
 targets) for a baseline's last-stage objective (the coupled loss for kih
 and pinn, the split-form data loss for dnn), computes the parameter
 gradient with the reverse tape, and checks it against central finite
-differences of a tape-free evaluation of the same loss. The two sides go
-through independent code paths: the probe re-evaluates the loss with the
-tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
-through `residuals`) while the gradient comes from the one-node taped forward
-and its hand-derived reverse.
+differences of a tape-free evaluation of the same loss.
+
+The gradient is the stage loop's own: `training._batch_terms` over all the
+problem's points, summed by `training._weighted_sum` with the stage's
+`training._objective`. The probe evaluates each term independently, with
+the tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
+through `residuals`); only the final weighted sum is shared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff.fdcheck import FdReport, fd_check
 from .autodiff.tape import Tape
+from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec, flowrate_to_velocity, friction_factor, wave_speed
-from .losses import (
-    CollocationSet,
-    LossWeights,
-    PhysicsCoefficients,
-    coupled_loss,
-    taped_data_loss,
-    taped_physics_losses,
-)
+from .losses import (CollocationSet, PhysicsCoefficients, _mean_sq,
+                     _observed_first_channel, data_misfit)
 from .network import InputScaler, NetSpec, init_params, params_to_vars
+from .training import (TERM_FAMILY, _batch_terms, _family, _objective, _schedule,
+                       _weighted_sum, output_mode_for)
 
 DEFAULT_FLUID = FluidSpec(density=850.0, kinematic_viscosity=5.2e-6,
                           bulk_modulus=1.5e9)
@@ -51,12 +51,12 @@ class AdCheckProblem:
     params: list
     colloc: CollocationSet
     coeffs: PhysicsCoefficients
-    weights: LossWeights
+    objective: dict  # {term: weight}, as `training._objective` builds it
     form: str
 
 
 def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
-                  weights: LossWeights, form: str, n_points: int,
+                  objective: dict, form: str, n_points: int,
                   seed: int) -> AdCheckProblem:
     """Random sample points and targets spanning the scaler's domain."""
     rng = np.random.default_rng(seed)
@@ -77,80 +77,75 @@ def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
     )
     params = init_params(spec, rng)
     return AdCheckProblem(spec=spec, params=params, colloc=colloc,
-                          coeffs=coeffs, weights=weights, form=form)
+                          coeffs=coeffs, objective=objective, form=form)
 
 
 def taped_coupled_gradient(problem: AdCheckProblem):
-    """Coupled-loss gradient of the problem's parameters via the tape; the
-    physics terms are left out when both their weights are zero."""
-    p, c, w = problem, problem.colloc, problem.weights
+    """Gradient of the problem's objective via the tape, built as the stage
+    loop builds it, over all the problem's points."""
+    p = problem
     tape = Tape()
     pvars = params_to_vars(tape, p.params)
-    bc_var, _ = taped_data_loss(p.spec, pvars, c.x_bc, c.t_bc, c.P_bc, c.v_bc,
-                                p.coeffs, p.form)
-    ic_var, _ = taped_data_loss(p.spec, pvars, c.x_ic, c.t_ic, c.P_ic, c.v_ic,
-                                p.coeffs, p.form)
-    total = w.bc * bc_var + w.ic * ic_var
-    if w.con or w.mo:
-        con_var, mo_var = taped_physics_losses(p.spec, pvars, c.x_f, c.t_f, p.coeffs)
-        total = total + w.con * con_var + w.mo * mo_var
+    rows = dict.fromkeys({TERM_FAMILY[name] for name in p.objective}, slice(None))
+    terms, _ = _batch_terms(p.spec, pvars, p.colloc, p.coeffs, rows, p.form)
     flat = [v for pair in pvars for v in pair]
-    grads = tape.gradients(total, flat)
+    grads = tape.gradients(_weighted_sum(p.objective, terms), flat)
     return [(grads[2 * i], grads[2 * i + 1]) for i in range(len(pvars))]
 
 
 def fast_coupled_loss(problem: AdCheckProblem) -> float:
-    """Equal in value to `coupled_loss`, with the two data-family forward
-    passes fused into one call (the fd probe runs this tens of thousands of
-    times)."""
-    from .losses import _mean_sq, _observed_first_channel, data_misfit, residuals
+    """The problem's objective evaluated tape-free, with the two data-family
+    forward passes fused into one call (the fd probe runs this tens of
+    thousands of times)."""
+    # imported per call, so a wrapper on the defining module sees these calls
+    from .losses import residuals
     from .network import net_forward
 
-    p, c, w = problem, problem.colloc, problem.weights
-    x_data = np.concatenate([c.x_bc, c.x_ic])
-    t_data = np.concatenate([c.t_bc, c.t_ic])
-    y1, v = net_forward(p.spec, p.params, x_data, t_data)
+    p, c = problem, problem.colloc
+    y1, v = net_forward(p.spec, p.params, np.concatenate([c.x_bc, c.x_ic]),
+                        np.concatenate([c.t_bc, c.t_ic]))
     nb = c.n_bc
-    bc = data_misfit(y1[:nb], v[:nb],
-                     _observed_first_channel(c.P_bc, p.spec, p.coeffs),
-                     c.v_bc, p.form)
-    ic = data_misfit(y1[nb:], v[nb:],
-                     _observed_first_channel(c.P_ic, p.spec, p.coeffs),
-                     c.v_ic, p.form)
-    total = w.bc * bc + w.ic * ic
-    if w.con or w.mo:
+    terms = {}
+    for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None))):
+        _, _, P, v_obs = _family(c, family)
+        terms[family] = data_misfit(y1[rows], v[rows],
+                                    _observed_first_channel(P, p.spec, p.coeffs),
+                                    v_obs, p.form)
+    if "con" in p.objective or "mo" in p.objective:
         g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f)
-        total = total + w.con * _mean_sq(g_con) + w.mo * _mean_sq(g_mo)
-    return total
+        terms["con"], terms["mo"] = _mean_sq(g_con), _mean_sq(g_mo)
+    return _weighted_sum(p.objective, terms)
 
 
 def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
                 tolerance: float = 1e-5, order: int = 2,
                 max_coordinates: int | None = None,
                 coord_seed: int = 0) -> FdReport:
-    p = problem
-
-    def loss_fn() -> float:
-        return fast_coupled_loss(p)
-
-    grad = taped_coupled_gradient(p)
+    grad = taped_coupled_gradient(problem)
     return fd_check(
-        loss_fn, grad, p.params, h=h, tolerance=tolerance, order=order,
+        lambda: fast_coupled_loss(problem), grad, problem.params, h=h,
+        tolerance=tolerance, order=order,
         max_coordinates=max_coordinates,
         rng=np.random.default_rng(coord_seed),
     )
+
+
+def _check_arguments(n_points, h=None, tolerance=None, max_coordinates=None, **_):
+    """ConfigError naming the first out-of-range argument (None keeps the default)."""
+    for flag, n in (("--points", n_points), ("--max-coords", max_coordinates)):
+        if n is not None and n < 1:
+            raise ConfigError(f"adcheck {flag} must be at least 1, got {n!r}")
+    for flag, v in (("--fd-step", h), ("--tolerance", tolerance)):
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"adcheck {flag} must be positive and finite, got {v!r}")
 
 
 def adcheck_from_config(cfg, n_points: int = 32, seed: int | None = None,
                         **fd_kwargs) -> FdReport:
     """Build the default-domain problem for a train config's last-stage
     objective and check it."""
-    from .training import LOSS_TERMS, _objective, _schedule, output_mode_for
-
+    _check_arguments(n_points, **fd_kwargs)
     _, kind, _, form = _schedule(cfg)[-1]
-    objective = _objective(kind, cfg.weights)
-    weights = LossWeights(**{term: objective.get(term, 0.0) for term in LOSS_TERMS})
-
     spec = NetSpec(
         hidden_layers=cfg.hidden_layers,
         width=cfg.width,
@@ -158,6 +153,6 @@ def adcheck_from_config(cfg, n_points: int = 32, seed: int | None = None,
         scaler=InputScaler(0.0, DEFAULT_PIPE.length, 0.0, DEFAULT_DURATION),
         output_mode=output_mode_for(cfg.baseline),
     )
-    problem = build_problem(spec, default_coefficients(), weights, form, n_points,
-                            cfg.seed if seed is None else seed)
+    problem = build_problem(spec, default_coefficients(), _objective(kind, cfg.weights),
+                            form, n_points, cfg.seed if seed is None else seed)
     return run_adcheck(problem, **fd_kwargs)

@@ -4,11 +4,13 @@ Central differences (2nd or 4th order) probed coordinate by coordinate
 against a supplied analytic gradient. The relative error denominator is
 floored so coordinates whose true gradient is negligible compared to the
 largest one are judged on an absolute scale instead of blowing up the
-ratio.
+ratio. A coordinate whose analytic or finite-difference value is NaN or
+infinite counts as an infinite error, so the check fails and names it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -71,8 +73,10 @@ def fd_check(
         pick = rng.choice(len(coords), size=max_coordinates, replace=False)
         coords = [coords[i] for i in np.sort(pick)]
 
+    # over finite entries only: an inf would lift the floor and hide every error
     gmax = max(
-        (float(np.max(np.abs(arr))) for layer in grad for arr in layer if arr.size),
+        (float(np.max(np.abs(arr), where=np.isfinite(arr), initial=0.0))
+         for layer in grad for arr in layer),
         default=0.0,
     )
     floor = floor_scale * max(1.0, gmax)
@@ -103,6 +107,8 @@ def fd_check(
         flat[k] = old
         ad = float(grad[li][ai].reshape(-1)[k])
         err = abs(ad - fd) / max(abs(ad), abs(fd), floor)
+        if not math.isfinite(err):  # also when ad or fd is NaN or inf
+            err = math.inf
         if err > worst_err:
             worst_err = err
             worst = f"layer {li} {arr_names[ai]}[{k}] (ad={ad:.6e}, fd={fd:.6e})"

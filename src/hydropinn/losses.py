@@ -6,11 +6,13 @@ head-form operators used by the fixed-weight baseline (outputs in m and
 m/s). The pressure-form residual equals rho*g/1e6 times the head-form
 residual under h = 1e6*P/(rho*g); a test suite pins that identity.
 
-The residual cores are written once over numpy arrays (evaluation, input
-derivatives from the tape-free `forward_with_input_tangents`) or tape Vars
-(training: the outputs of `taped_forward`'s one network node, the
-residual arithmetic recorded op by op). Reductions are fixed-order numpy means,
-keeping loss values deterministic.
+The residual cores and the data misfit are written once over numpy arrays
+(`residuals`, on the tape-free `forward_with_input_tangents`) or tape Vars
+(`taped_data_loss`/`taped_physics_losses`, on `taped_forward`'s one network
+node, the residual arithmetic recorded op by op), through one pressure/head
+dispatch. The weighted objective lives in `training` (`_objective`,
+`_weighted_sum`). Reductions are fixed-order numpy means, keeping loss
+values deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .autodiff.tape import Var
 from .errors import ConfigError, DomainError
 from .hydraulics import FluidSpec, PipelineSpec
 from .moc import FieldGrid, interior_column_indices
-from .network import NetSpec, forward_with_input_tangents, net_forward, taped_forward
+from .network import NetSpec, forward_with_input_tangents, taped_forward
+from .network import net_forward  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 BC_LOSS_FORMS = ("paper", "split")
 
@@ -97,7 +100,11 @@ class CollocationSet:
     v_ic: np.ndarray
 
     def __post_init__(self):
-        if self.t_ic.size and not np.all(self.t_ic == self.t_ic[0]):
+        for family, n in (("collocation", self.n_f), ("boundary", self.n_bc),
+                          ("initial", self.n_ic)):
+            if n < 1:
+                raise DomainError(f"the {family} family has no points")
+        if not np.all(self.t_ic == self.t_ic[0]):
             raise DomainError("initial samples must share a single time")
 
     @property
@@ -166,12 +173,9 @@ def continuity_residual_hv(h_t, h_x, v, v_x, c: PhysicsCoefficients):
     return h_t + v * h_x + c.a2_over_g * v_x
 
 
-def _mean(r):
-    return r.mean() if isinstance(r, Var) else float(np.mean(r))
-
-
 def _mean_sq(r):
-    return _mean(r * r)
+    r2 = r * r
+    return r2.mean() if isinstance(r2, Var) else float(np.mean(r2))
 
 
 def data_misfit(P_pred, v_pred, P_obs, v_obs, form: str):
@@ -191,43 +195,6 @@ def data_misfit_terms(P_pred, v_pred, P_obs, v_obs):
     return _mean_sq(P_pred - P_obs), _mean_sq(v_pred - v_obs)
 
 
-# --- evaluation API (numpy in / float out) -----------------------------------
-
-def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t):
-    """(G_mo, G_con) arrays at the given points, per the net's output mode."""
-    y1, v, y1x, y1t, vx, vt = forward_with_input_tangents(spec, params, x, t)
-    if spec.output_mode == "pressure-velocity":
-        g_mo = momentum_residual_pv(y1x, v, vx, vt, coeffs)
-        g_con = continuity_residual_pv(y1t, y1x, v, vx, coeffs)
-    else:
-        g_mo = momentum_residual_hv(y1x, v, vx, vt, coeffs)
-        g_con = continuity_residual_hv(y1t, y1x, v, vx, coeffs)
-    return g_mo, g_con
-
-
-def residual_mo(spec, params, coeffs, x, t):
-    return residuals(spec, params, coeffs, x, t)[0]
-
-
-def residual_con(spec, params, coeffs, x, t):
-    return residuals(spec, params, coeffs, x, t)[1]
-
-
-def _require_points(n: int, family: str):
-    if n < 1:
-        raise DomainError(f"{family} loss needs at least one point")
-
-
-def loss_mo(colloc: CollocationSet, spec, params, coeffs) -> float:
-    _require_points(colloc.n_f, "momentum")
-    return _mean_sq(residual_mo(spec, params, coeffs, colloc.x_f, colloc.t_f))
-
-
-def loss_con(colloc: CollocationSet, spec, params, coeffs) -> float:
-    _require_points(colloc.n_f, "continuity")
-    return _mean_sq(residual_con(spec, params, coeffs, colloc.x_f, colloc.t_f))
-
-
 def _observed_first_channel(P_obs, spec: NetSpec, coeffs: PhysicsCoefficients):
     """Targets for the first output channel (pressure or head)."""
     if spec.output_mode == "head-velocity":
@@ -235,31 +202,20 @@ def _observed_first_channel(P_obs, spec: NetSpec, coeffs: PhysicsCoefficients):
     return P_obs
 
 
-def loss_bc(colloc: CollocationSet, spec, params, coeffs,
-            form: str = "paper") -> float:
-    _require_points(colloc.n_bc, "boundary")
-    y1, v = net_forward(spec, params, colloc.x_bc, colloc.t_bc)
-    obs = _observed_first_channel(colloc.P_bc, spec, coeffs)
-    return data_misfit(y1, v, obs, colloc.v_bc, form)
+def _residual_pair(spec: NetSpec, coeffs: PhysicsCoefficients, forward):
+    """(G_mo, G_con) from a forward's outputs and input derivatives, per the
+    net's output mode."""
+    _, v, y1x, y1t, vx, vt = forward
+    if spec.output_mode == "pressure-velocity":
+        return (momentum_residual_pv(y1x, v, vx, vt, coeffs),
+                continuity_residual_pv(y1t, y1x, v, vx, coeffs))
+    return (momentum_residual_hv(y1x, v, vx, vt, coeffs),
+            continuity_residual_hv(y1t, y1x, v, vx, coeffs))
 
 
-def loss_ic(colloc: CollocationSet, spec, params, coeffs,
-            form: str = "paper") -> float:
-    _require_points(colloc.n_ic, "initial")
-    y1, v = net_forward(spec, params, colloc.x_ic, colloc.t_ic)
-    obs = _observed_first_channel(colloc.P_ic, spec, coeffs)
-    return data_misfit(y1, v, obs, colloc.v_ic, form)
-
-
-def coupled_loss(weights: LossWeights, colloc: CollocationSet, spec, params,
-                 coeffs, form: str = "paper") -> float:
-    """Weighted sum: bc*L_bc + ic*L_ic + con*L_con + mo*L_mo."""
-    _require_points(colloc.n_f, "collocation")
-    g_mo, g_con = residuals(spec, params, coeffs, colloc.x_f, colloc.t_f)
-    return (weights.bc * loss_bc(colloc, spec, params, coeffs, form)
-            + weights.ic * loss_ic(colloc, spec, params, coeffs, form)
-            + weights.con * _mean_sq(g_con)
-            + weights.mo * _mean_sq(g_mo))
+def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t):
+    """(G_mo, G_con) arrays at the given points (tape-free)."""
+    return _residual_pair(spec, coeffs, forward_with_input_tangents(spec, params, x, t))
 
 
 # --- taped API (for training) -------------------------------------------------
@@ -277,12 +233,6 @@ def taped_data_loss(spec: NetSpec, param_vars, x, t, P_obs, v_obs,
 def taped_physics_losses(spec: NetSpec, param_vars, x, t,
                          coeffs: PhysicsCoefficients):
     """(L_con, L_mo) Vars at collocation points."""
-    y1, v, y1x, y1t, vx, vt = taped_forward(spec, param_vars, x, t,
-                                            with_tangents=True)
-    if spec.output_mode == "pressure-velocity":
-        g_mo = momentum_residual_pv(y1x, v, vx, vt, coeffs)
-        g_con = continuity_residual_pv(y1t, y1x, v, vx, coeffs)
-    else:
-        g_mo = momentum_residual_hv(y1x, v, vx, vt, coeffs)
-        g_con = continuity_residual_hv(y1t, y1x, v, vx, coeffs)
+    g_mo, g_con = _residual_pair(spec, coeffs, taped_forward(spec, param_vars, x, t,
+                                                             with_tangents=True))
     return _mean_sq(g_con), _mean_sq(g_mo)

@@ -300,6 +300,7 @@ def _stage_context(cfg: TrainConfig, data: TrainingData, stage_id: int) -> _Stag
 
 
 LOSS_TERMS = ("bc", "ic", "con", "mo")
+TERM_FAMILY = {"bc": "bc", "ic": "ic", "con": "f", "mo": "f"}  # point family each term reads
 
 
 def _objective(kind: str, w: LossWeights) -> dict:
@@ -333,22 +334,22 @@ def _family(colloc: CollocationSet, family: str, idx=slice(None)):
     return tuple(getattr(colloc, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
 
 
-def _batch_terms(names, spec, pvars, data: TrainingData, ctx: _StageContext, form):
-    """Taped terms `names` on each family's next batch, plus the per-channel
-    boundary diagnostics when the boundary term is among them."""
-    c = data.colloc
+def _batch_terms(spec, pvars, colloc: CollocationSet, coeffs: PhysicsCoefficients,
+                 rows: dict, form):
+    """Taped terms of each family in `rows` (family -> its rows to use; 'f'
+    gives con and mo), plus the per-channel boundary diagnostics with 'bc'."""
     terms, diagnostics = {}, {}
     for family in ("bc", "ic"):
-        if family in names:
-            x, t, P, v = _family(c, family, ctx.batchers[family].next())
+        if family in rows:
+            x, t, P, v = _family(colloc, family, rows[family])
             terms[family], (d1, d2) = taped_data_loss(spec, pvars, x, t, P, v,
-                                                      data.coeffs, form)
+                                                      coeffs, form)
             if family == "bc":
                 diagnostics = {"bc_first": float(d1), "bc_velocity": float(d2)}
-    if "con" in names:
-        idx = ctx.batchers["f"].next()
-        terms["con"], terms["mo"] = taped_physics_losses(spec, pvars, c.x_f[idx],
-                                                         c.t_f[idx], data.coeffs)
+    if "f" in rows:
+        idx = rows["f"]
+        terms["con"], terms["mo"] = taped_physics_losses(spec, pvars, colloc.x_f[idx],
+                                                         colloc.t_f[idx], coeffs)
     return terms, diagnostics
 
 
@@ -366,7 +367,7 @@ def _eval_terms(names, spec, params, data: TrainingData, ctx: _StageContext, for
             terms[family] = float(data_misfit(y1, v, obs, v_obs, form))
             if family == "bc":
                 terms["bc_first"], terms["bc_velocity"] = data_misfit_terms(y1, v, obs, v_obs)
-    if "con" in names:
+    if "con" in names or "mo" in names:
         idx = ctx.f_eval_idx
         g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
         terms["con"], terms["mo"] = float(_mean_sq(g_con)), float(_mean_sq(g_mo))
@@ -393,6 +394,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     """
     ctx = _stage_context(cfg, data, stage_id)
     objective = _objective(kind, cfg.weights)
+    families = {TERM_FAMILY[name] for name in objective}
     form = cfg.bc_loss_form if form is None else form
     params = params_views(spec, theta)
 
@@ -407,7 +409,9 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         it = start_iteration + k
         tape.reset()
         pvars = params_to_vars(tape, params)
-        terms, diagnostics = _batch_terms(objective, spec, pvars, data, ctx, form)
+        rows = {f: b.next() for f, b in ctx.batchers.items() if f in families}
+        terms, diagnostics = _batch_terms(spec, pvars, data.colloc, data.coeffs,
+                                          rows, form)
         loss_var = _weighted_sum(objective, terms)
         row = {**held, **{name: float(var.value) for name, var in terms.items()},
                **diagnostics}

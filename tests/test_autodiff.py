@@ -393,3 +393,22 @@ class TestFdCheck:
         params, loss_fn, grad = self._quadratic_problem()
         with pytest.raises(ValueError):
             fd_check(loss_fn, grad, params, h=0.0)
+
+    @pytest.mark.parametrize("corrupt, worst", [
+        ("nan_gradient", "layer 0 W[0]"),
+        ("nan_loss", "layer 0 W[0]"),
+        ("inf_gradient_entry", "layer 0 b[0]"),
+    ])
+    def test_non_finite_values_fail_and_name_the_coordinate(self, corrupt, worst):
+        params, loss_fn, grad = self._quadratic_problem()
+        if corrupt == "nan_gradient":
+            grad = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in grad]
+        elif corrupt == "nan_loss":
+            loss_fn = lambda: float("nan")  # noqa: E731
+        else:
+            grad[0][1][0] = np.inf
+        report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-6)
+        assert not report.passed
+        assert report.max_rel_error == np.inf
+        assert report.worst_coordinate.startswith(worst + " ")
+        assert report.summary().startswith("FAIL")

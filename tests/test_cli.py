@@ -232,3 +232,19 @@ class TestAdcheck:
         code = main(["adcheck", str(path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: config")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "0"), ("--points", "-2"), ("--fd-step", "0"), ("--fd-step", "nan"),
+        ("--max-coords", "-3"), ("--max-coords", "0"), ("--tolerance", "0"),
+        ("--tolerance", "-1e-5"),
+    ])
+    def test_out_of_range_argument_is_config_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "ad.json"
+        path.write_text(json.dumps({"baseline": "kih",
+                                    "network": {"hidden_layers": 2, "width": 4}}))
+        code = main(["adcheck", str(path), "--points", "4", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: ")
+        assert flag in captured.err
+        assert captured.out == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hydropinn.adcheck import AdCheckProblem, fast_coupled_loss
 from hydropinn.errors import ConfigError, DomainError
 from hydropinn.hydraulics import (
     flowrate_to_velocity,
@@ -15,16 +16,9 @@ from hydropinn.losses import (
     collocation_from_field,
     continuity_residual_hv,
     continuity_residual_pv,
-    coupled_loss,
     data_misfit,
-    loss_bc,
-    loss_con,
-    loss_ic,
-    loss_mo,
     momentum_residual_hv,
     momentum_residual_pv,
-    residual_con,
-    residual_mo,
     residuals,
 )
 from hydropinn.network import (
@@ -32,7 +26,9 @@ from hydropinn.network import (
     NetSpec,
     forward_with_input_tangents,
     init_params,
+    net_forward,
 )
+from hydropinn.training import _family, _objective, _weighted_sum
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +46,32 @@ def _identity_net(scaler, w_out, b_out):
     return spec, params
 
 
+def _data_loss(colloc, family, spec, params, form):
+    """Data term of one family from the tape-free forward (pressure-velocity nets)."""
+    x, t, P, v_obs = _family(colloc, family)
+    y1, v = net_forward(spec, params, x, t)
+    return data_misfit(y1, v, P, v_obs, form)
+
+
+def _mean_sq_residuals(colloc, spec, params, coeffs):
+    g_mo, g_con = residuals(spec, params, coeffs, colloc.x_f, colloc.t_f)
+    return float(np.mean(g_con * g_con)), float(np.mean(g_mo * g_mo))
+
+
+def _problem(colloc, spec, params, coeffs, objective, form="paper"):
+    return AdCheckProblem(spec=spec, params=params, colloc=colloc, coeffs=coeffs,
+                          objective=objective, form=form)
+
+
 class TestResiduals:
     def test_constant_net_momentum_is_friction_only(self, coeffs):
         scaler = InputScaler(0.0, 1.0, 0.0, 1.0)
         spec, params = _identity_net(scaler, np.zeros((2, 2)), [0.7, 0.9])
         x = np.array([0.2, 0.5])
         t = np.array([0.1, 0.9])
-        g_mo = residual_mo(spec, params, coeffs, x, t)
+        g_mo, g_con = residuals(spec, params, coeffs, x, t)
         expected = coeffs.friction_pv * 0.9 * 0.9
         assert np.allclose(g_mo, expected, rtol=1e-12)
-        g_con = residual_con(spec, params, coeffs, x, t)
         assert np.allclose(g_con, 0.0, atol=1e-15)
 
     def test_linear_pressure_slope(self, coeffs, pipe):
@@ -70,7 +82,7 @@ class TestResiduals:
             scaler, [[-s * pipe.length, 0.0], [0.0, 0.0]], [1.48, 0.0])
         x = np.linspace(0, pipe.length, 7)
         t = np.full(7, 300.0)
-        g_mo = residual_mo(spec, params, coeffs, x, t)
+        g_mo, _ = residuals(spec, params, coeffs, x, t)
         assert np.allclose(g_mo, coeffs.gravity * (-s), rtol=1e-10)
 
     def test_uniform_velocity_advection(self, coeffs, pipe):
@@ -80,7 +92,7 @@ class TestResiduals:
         c = 0.8
         spec, params = _identity_net(
             scaler, [[s * pipe.length, 0.0], [0.0, 0.0]], [1.2, c])
-        g_con = residual_con(spec, params, coeffs,
+        _, g_con = residuals(spec, params, coeffs,
                              np.linspace(0, pipe.length, 5), np.full(5, 10.0))
         assert np.allclose(g_con, c * s, rtol=1e-10)
 
@@ -97,8 +109,7 @@ class TestResiduals:
             scaler, [[slope * pipe.length, 0.0], [0.0, 0.0]], [1.48, v])
         x = np.linspace(0.0, pipe.length, 11)
         t = np.linspace(0.0, 600.0, 11)
-        g_mo = residual_mo(spec, params, coeffs, x, t)
-        g_con = residual_con(spec, params, coeffs, x, t)
+        g_mo, g_con = residuals(spec, params, coeffs, x, t)
         assert np.max(np.abs(g_mo)) <= 1e-9
         # steady continuity residual is exactly v * dP/dx: small but nonzero
         # (|slope| ~ 2.9e-5 MPa/m at the desk operating point)
@@ -150,15 +161,15 @@ class TestLossTerms:
     def test_loss_mo_matches_manual_mean(self, coeffs):
         spec, params = self._constant_half_net()
         colloc = self._colloc_single()
-        got = loss_mo(colloc, spec, params, coeffs)
+        got = fast_coupled_loss(_problem(colloc, spec, params, coeffs, {"mo": 1.0}))
         expected = (coeffs.friction_pv * 0.25) ** 2  # single point, r^2
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_perfect_prediction_zero(self, coeffs):
         spec, params = self._constant_half_net()
         colloc = self._colloc_single()
-        assert loss_bc(colloc, spec, params, coeffs, "paper") == pytest.approx(0.0, abs=1e-25)
-        assert loss_ic(colloc, spec, params, coeffs, "split") == pytest.approx(0.0, abs=1e-25)
+        assert _data_loss(colloc, "bc", spec, params, "paper") == pytest.approx(0.0, abs=1e-25)
+        assert _data_loss(colloc, "ic", spec, params, "split") == pytest.approx(0.0, abs=1e-25)
 
     def test_paper_form_cancellation(self, coeffs):
         # +eps pressure error against -eps velocity error cancels in the
@@ -166,37 +177,27 @@ class TestLossTerms:
         eps = 0.125
         spec, params = self._constant_half_net()
         colloc = self._colloc_single(P_pred_err=eps, v_pred_err=-eps)
-        assert loss_bc(colloc, spec, params, coeffs, "paper") == pytest.approx(0.0, abs=1e-25)
-        assert loss_bc(colloc, spec, params, coeffs, "split") == pytest.approx(
+        assert _data_loss(colloc, "bc", spec, params, "paper") == pytest.approx(0.0, abs=1e-25)
+        assert _data_loss(colloc, "bc", spec, params, "split") == pytest.approx(
             2 * eps**2, rel=1e-12)
 
     def test_paper_form_single_sample_value(self, coeffs):
         # residuals (0.2, 0.4) -> |(0.2+0.4)/2|^2 = 0.09
         spec, params = self._constant_half_net()
         colloc = self._colloc_single(P_pred_err=0.2, v_pred_err=0.4)
-        assert loss_bc(colloc, spec, params, coeffs, "paper") == pytest.approx(
+        assert _data_loss(colloc, "bc", spec, params, "paper") == pytest.approx(
             0.09, rel=1e-12)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigError):
             data_misfit(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), "nope")
 
-    def test_empty_families_rejected(self, coeffs):
-        spec, params = self._constant_half_net()
-        empty = CollocationSet(
-            x_f=np.array([]), t_f=np.array([]),
-            x_bc=np.array([]), t_bc=np.array([]),
-            P_bc=np.array([]), v_bc=np.array([]),
-            x_ic=np.array([]), t_ic=np.array([]),
-            P_ic=np.array([]), v_ic=np.array([]),
-        )
-        for fn in (loss_mo, loss_con):
-            with pytest.raises(DomainError):
-                fn(empty, spec, params, coeffs)
-        with pytest.raises(DomainError):
-            loss_bc(empty, spec, params, coeffs)
-        with pytest.raises(DomainError):
-            loss_ic(empty, spec, params, coeffs)
+    def test_empty_families_rejected(self):
+        full = vars(self._colloc_single())
+        for family in ("_f", "_bc", "_ic"):
+            arrays = {k: np.array([]) if k.endswith(family) else v for k, v in full.items()}
+            with pytest.raises(DomainError, match="has no points"):
+                CollocationSet(**arrays)
 
 
 class TestCoupledLoss:
@@ -217,9 +218,9 @@ class TestCoupledLoss:
             x_ic=rng.uniform(0.1, 0.9, 3), t_ic=np.zeros(3),
             P_ic=np.array([1.0, 0.9, 0.8]), v_ic=np.full(3, 0.5),
         )
-        only_bc = coupled_loss(LossWeights(1, 0, 0, 0), colloc, spec, params, coeffs)
-        assert only_bc == pytest.approx(loss_bc(colloc, spec, params, coeffs),
-                                        rel=1e-15)
+        only_bc = fast_coupled_loss(_problem(colloc, spec, params, coeffs, {"bc": 1.0}))
+        assert only_bc == _data_loss(colloc, "bc", spec, params, "paper")
+        assert _weighted_sum({"bc": 1.0}, {"bc": only_bc, "ic": np.nan}) is only_bc
 
     def test_weighted_sum(self, coeffs, rng):
         scaler = InputScaler(0.0, 1.0, 0.0, 1.0)
@@ -232,12 +233,12 @@ class TestCoupledLoss:
             x_ic=rng.uniform(0.1, 0.9, 3), t_ic=np.zeros(3),
             P_ic=np.array([1.0, 0.9, 0.8]), v_ic=np.full(3, 0.5),
         )
-        w = LossWeights(2.0, 3.0, 4.0, 5.0)
-        total = coupled_loss(w, colloc, spec, params, coeffs)
-        manual = (2 * loss_bc(colloc, spec, params, coeffs)
-                  + 3 * loss_ic(colloc, spec, params, coeffs)
-                  + 4 * loss_con(colloc, spec, params, coeffs)
-                  + 5 * loss_mo(colloc, spec, params, coeffs))
+        objective = _objective("coupled", LossWeights(2.0, 3.0, 4.0, 5.0))
+        total = fast_coupled_loss(_problem(colloc, spec, params, coeffs, objective))
+        con, mo = _mean_sq_residuals(colloc, spec, params, coeffs)
+        manual = (2 * _data_loss(colloc, "bc", spec, params, "paper")
+                  + 3 * _data_loss(colloc, "ic", spec, params, "paper")
+                  + 4 * con + 5 * mo)
         assert total == pytest.approx(manual, rel=1e-14)
 
     def test_all_terms_zero_for_trivial_target(self, coeffs):
@@ -251,7 +252,8 @@ class TestCoupledLoss:
             x_ic=np.array([0.5]), t_ic=np.array([0.0]),
             P_ic=np.array([0.0]), v_ic=np.array([0.0]),
         )
-        assert coupled_loss(LossWeights(), colloc, spec, params, coeffs) == 0.0
+        objective = _objective("coupled", LossWeights())
+        assert fast_coupled_loss(_problem(colloc, spec, params, coeffs, objective)) == 0.0
 
 
 class TestCollocationBuilder:

@@ -6,7 +6,7 @@ import pytest
 from hydropinn import training
 from hydropinn.dataset import DatasetMeta
 from hydropinn.errors import ConfigError, NumericalBlowupError
-from hydropinn.losses import LossWeights, loss_bc, loss_ic, residuals
+from hydropinn.losses import LossWeights, data_misfit, residuals
 from hydropinn.moc import export_grid, sample
 from hydropinn.network import init_params, net_forward, params_flatten, params_views
 from hydropinn.training import (
@@ -15,7 +15,9 @@ from hydropinn.training import (
     TrainingData,
     TrainTrace,
     _make_spec,
+    _objective,
     _run_stage,
+    _schedule,
     _stage_context,
     adam_step,
     output_mode_for,
@@ -226,7 +228,7 @@ class TestGradientValidity:
             spec, params, _ = train(cfg, tiny_data)
             problem = AdCheckProblem(spec=spec, params=params, colloc=sub,
                                      coeffs=tiny_data.coeffs,
-                                     weights=cfg.weights,
+                                     objective=_objective("coupled", cfg.weights),
                                      form=cfg.bc_loss_form)
             report = run_adcheck(problem, h=1e-4, tolerance=1e-5)
             assert report.passed, report.summary()
@@ -234,18 +236,17 @@ class TestGradientValidity:
     def test_adcheck_checks_the_objective_each_baseline_trains(self, monkeypatch):
         """The dnn trains only the split-form data loss, so its check records
         no physics terms and reports otherwise than the pinn's coupled loss."""
-        import hydropinn.adcheck
         from hydropinn.adcheck import adcheck_from_config
 
         configs = Path(__file__).resolve().parents[1] / "configs"
-        physics = hydropinn.adcheck.taped_physics_losses
+        physics = training.taped_physics_losses
         calls = []
 
         def counted(*args):
             calls.append(args)
             return physics(*args)
 
-        monkeypatch.setattr(hydropinn.adcheck, "taped_physics_losses", counted)
+        monkeypatch.setattr(training, "taped_physics_losses", counted)
         reports = {}
         for baseline in ("dnn", "pinn"):
             calls.clear()
@@ -257,6 +258,27 @@ class TestGradientValidity:
         dnn, pinn = reports["dnn"], reports["pinn"]
         assert (dnn.max_rel_error, dnn.worst_coordinate) != \
             (pinn.max_rel_error, pinn.worst_coordinate)
+
+    @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
+    def test_adcheck_sums_the_last_stage_objective(self, monkeypatch, baseline):
+        """Both sides of the check add their terms through the stage loop's
+        `_weighted_sum`, with the objective of the baseline's last stage."""
+        import hydropinn.adcheck
+        from hydropinn.adcheck import adcheck_from_config
+
+        cfg = training.load_train_config(
+            Path(__file__).resolve().parents[1] / "configs" / f"{baseline}.json")
+        weighted_sum = hydropinn.adcheck._weighted_sum
+        objectives = []
+
+        def recorded(objective, terms):
+            objectives.append(objective)
+            return weighted_sum(objective, terms)
+
+        monkeypatch.setattr(hydropinn.adcheck, "_weighted_sum", recorded)
+        adcheck_from_config(cfg, n_points=4, order=4, max_coordinates=2)
+        expected = _objective(_schedule(cfg)[-1][1], cfg.weights)
+        assert objectives == [expected] * (1 + 4 * 2)
 
 
 class TestOffObjectiveTerms:
@@ -293,9 +315,10 @@ class TestOffObjectiveTerms:
         c = data.colloc
         idx = _stage_context(cfg, data, stage_id).f_eval_idx
         g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
-        return (loss_bc(c, spec, params, data.coeffs, "split"),
-                loss_ic(c, spec, params, data.coeffs, "split"),
-                float(np.mean(g_con * g_con)), float(np.mean(g_mo * g_mo)))
+        data_terms = [data_misfit(*net_forward(spec, params, x, t), P, v, "split")
+                      for x, t, P, v in ((c.x_bc, c.t_bc, c.P_bc, c.v_bc),
+                                         (c.x_ic, c.t_ic, c.P_ic, c.v_ic))]
+        return (*data_terms, float(np.mean(g_con * g_con)), float(np.mean(g_mo * g_mo)))
 
     def test_stage_one_holds_eval_set_values(self, monkeypatch, tiny_cfg,
                                              tiny_data, start):
