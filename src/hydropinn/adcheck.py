@@ -27,8 +27,8 @@ from .hydraulics import FluidSpec, PipelineSpec, flowrate_to_velocity, friction_
 from .losses import (CollocationSet, PhysicsCoefficients, _mean_sq,
                      _observed_first_channel, data_misfit)
 from .network import InputScaler, NetSpec, init_params, params_to_vars
-from .training import (TERM_FAMILY, _batch_terms, _family, _objective, _schedule,
-                       _weighted_sum, output_mode_for)
+from .training import (TERM_FAMILY, _batch_terms, _family, _make_spec, _objective,
+                       _schedule, _weighted_sum)
 
 DEFAULT_FLUID = FluidSpec(density=850.0, kinematic_viscosity=5.2e-6,
                           bulk_modulus=1.5e9)
@@ -146,13 +146,7 @@ def adcheck_from_config(cfg, n_points: int = 32, seed: int | None = None,
     objective and check it."""
     _check_arguments(n_points, **fd_kwargs)
     _, kind, _, form = _schedule(cfg)[-1]
-    spec = NetSpec(
-        hidden_layers=cfg.hidden_layers,
-        width=cfg.width,
-        activation=cfg.activation,
-        scaler=InputScaler(0.0, DEFAULT_PIPE.length, 0.0, DEFAULT_DURATION),
-        output_mode=output_mode_for(cfg.baseline),
-    )
+    spec = _make_spec(cfg, InputScaler(0.0, DEFAULT_PIPE.length, 0.0, DEFAULT_DURATION))
     problem = build_problem(spec, default_coefficients(), _objective(kind, cfg.weights),
                             form, n_points, cfg.seed if seed is None else seed)
     return run_adcheck(problem, **fd_kwargs)

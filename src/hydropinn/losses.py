@@ -100,10 +100,15 @@ class CollocationSet:
     v_ic: np.ndarray
 
     def __post_init__(self):
-        for family, n in (("collocation", self.n_f), ("boundary", self.n_bc),
-                          ("initial", self.n_ic)):
-            if n < 1:
+        for family, names in (("collocation", ("x_f", "t_f")),
+                              ("boundary", ("x_bc", "t_bc", "P_bc", "v_bc")),
+                              ("initial", ("x_ic", "t_ic", "P_ic", "v_ic"))):
+            sizes = [np.size(getattr(self, name)) for name in names]
+            if sizes[0] < 1:
                 raise DomainError(f"the {family} family has no points")
+            if len(set(sizes)) > 1:
+                raise DomainError(f"the {family} family's arrays differ in length: "
+                                  + ", ".join(f"{k} {n}" for k, n in zip(names, sizes)))
         if not np.all(self.t_ic == self.t_ic[0]):
             raise DomainError("initial samples must share a single time")
 

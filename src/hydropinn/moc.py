@@ -298,10 +298,7 @@ def sample(field: FieldGrid, xs_out, ts_out) -> FieldGrid:
     it, wt = _axis_weights(field.ts, ts_out, "t")
 
     def interp(values: np.ndarray) -> np.ndarray:
-        if field.xs.size == 1:
-            in_x = values
-        else:
-            in_x = values[:, ix] * (1.0 - wx) + values[:, np.minimum(ix + 1, field.xs.size - 1)] * wx
+        in_x = values[:, ix] * (1.0 - wx) + values[:, np.minimum(ix + 1, field.xs.size - 1)] * wx
         if field.ts.size == 1:
             return in_x[np.zeros(it.size, dtype=int), :]
         return (in_x[it, :] * (1.0 - wt)[:, None]

@@ -6,24 +6,29 @@ directly in physical units, either (pressure [MPa], velocity [m/s]) or
 forwards apply the normalization chain-rule factors so returned
 derivatives are with respect to physical x [m] and t [s].
 
-Both forwards stack the value rows and the d/dx, d/dt tangent rows of
-their points, so each layer is one matmul with the bias on the value rows
-only, and share one in-place softplus helper. The tape-free kernel
-`_forward` (`net_forward`, `forward_with_input_tangents`) walks the points
-in cache-sized blocks for evaluation, eval-set objectives and the adcheck
-probe. `taped_forward` records a whole forward as one tape node with a
-hand-derived reverse, for training gradients.
+One layer loop, `_layers`, runs the network over stacked rows: the
+points' value rows, then (with tangents) their d/dx and d/dt tangent
+rows, so each layer is one matmul with the bias on the value rows only
+and an in-place softplus that scales the tangent rows by the sigmoid.
+Both forwards call it and differ only in the buffers they hand in. The
+tape-free `_forward` (`net_forward`, `forward_with_input_tangents`) walks
+the points in cache-sized blocks over two alternating row buffers, for
+evaluation, eval-set objectives and the adcheck probe. `taped_forward`
+hands in per-layer tape buffers and records the whole forward as one tape
+node with a hand-derived reverse, for training gradients.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff.tape import Tape
+from .config import count, nested, number, optional, read_object, text
 from .errors import ConfigError, DomainError
 
 OUTPUT_MODES = ("pressure-velocity", "head-velocity")
@@ -100,18 +105,16 @@ class NetSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NetSpec":
-        sc = d["scaler"]
-        return cls(
-            hidden_layers=int(d["hidden_layers"]),
-            width=int(d["width"]),
-            activation=d["activation"],
-            output_mode=d["output_mode"],
-            scaler=InputScaler(
-                float(sc["x_min"]), float(sc["x_max"]),
-                float(sc["t_min"]), float(sc["t_max"]),
-            ),
-        )
+    def from_dict(cls, d, path: str = "spec") -> "NetSpec":
+        """Spec from its `to_dict` object; a missing or malformed key is a
+        config error naming its path."""
+        bounds = ("x_min", "x_max", "t_min", "t_max")
+        v = read_object(d, path, {
+            "hidden_layers": count, "width": count, "activation": text,
+            "output_mode": text,
+            "scaler": nested(dict.fromkeys(bounds, number), bounds),
+        }, ("hidden_layers", "width", "activation", "output_mode", "scaler"))
+        return cls(**{**v, "scaler": InputScaler(**v["scaler"])})
 
 
 SOFTPLUS_INIT_GAIN = 1.2
@@ -201,55 +204,64 @@ def _softplus_inplace(v, e, tmp, mask=None) -> None:
         np.divide(e, tmp, out=e)
 
 
+def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
+            mask=None) -> None:
+    """Run the layers over the stacked rows `a`, layer li writing its rows
+    into zs[li] (the last is the network output) and, through softplus,
+    the sigmoid (given `mask`) or else exp(-|z|) into ss[li].
+
+    a[:m] holds the m normalized points. When `a` has 3m rows, a[m:] is
+    filled with the constant input-tangent rows (dx_factor, 0) and
+    (0, dt_factor), which make the matmul's tangent rows the physical d/dx
+    and d/dt; softplus then needs `mask`. Each layer is one matmul of all
+    rows, with the bias added to the value rows only; softplus scales the
+    tangent rows by the sigmoid. ss and tmp are (m, width), mask likewise.
+    """
+    tangents = a.shape[0] > m
+    if tangents:
+        a[m:] = 0.0
+        a[m:2 * m, 0] = spec.scaler.dx_factor
+        a[2 * m:, 1] = spec.scaler.dt_factor
+    use_softplus = spec.activation == "softplus"
+    for li, ((w, b), z) in enumerate(zip(params, zs)):
+        np.matmul(a, w, out=z)
+        z[:m] += b
+        if use_softplus and li < len(params) - 1:
+            _softplus_inplace(z[:m], ss[li], tmp, mask)
+            if tangents:
+                tz = z[m:].reshape(2, m, -1)
+                tz *= ss[li]
+        a = z
+
+
 def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarray:
     """The network over the points, as an array out[channel, row kind, point].
 
     Row kind 0 is the output value; with `tangents`, kinds 1 and 2 are its
-    physical d/dx and d/dt. The points are walked in blocks of BLOCK_ROWS.
-    Within a block the value rows and the two tangent row sets are stacked,
-    so each layer is one matmul, with the bias added to the value rows only.
-    The first layer's tangents are the constant rows dx_factor*W0[0] and
-    dt_factor*W0[1]; softplus then scales the tangent rows by the sigmoid.
-    Buffers are allocated once per call and every op writes in place.
+    physical d/dx and d/dt. The points are walked in blocks of BLOCK_ROWS,
+    each through `_layers` over two row buffers that alternate between
+    layers, so a block's buffers stay cache-sized. Buffers are allocated
+    once per call and every op writes in place.
     """
     inputs = _stack_inputs(spec, x, t)
     n = inputs.shape[0]
     kinds = 3 if tangents else 1
     rows = min(n, BLOCK_ROWS)
-    buf_a = np.empty((kinds * rows, spec.width))
-    buf_b = np.empty_like(buf_a)
-    e = np.empty((rows, spec.width))
-    tmp = np.empty_like(e)
-    nonneg = np.empty(e.shape, dtype=bool)
+    a = np.empty((kinds * rows, 2))
+    bufs = np.empty((2, kinds * rows, spec.width))
+    s = np.empty((rows, spec.width))
+    tmp = np.empty_like(s)
+    mask = np.empty(s.shape, dtype=bool)
     y = np.empty((kinds * rows, 2))
     out = np.empty((2, kinds, n))
-    use_softplus = spec.activation == "softplus"
-    w0 = params[0][0]
-    dx_row = spec.scaler.dx_factor * w0[0]
-    dt_row = spec.scaler.dt_factor * w0[1]
+    n_hidden = len(params) - 1
     for lo in range(0, n, BLOCK_ROWS):
         m = min(BLOCK_ROWS, n - lo)
-        z, a = buf_a[:kinds * m], buf_b[:kinds * m]
-        np.matmul(inputs[lo:lo + m], w0, out=z[:m])
-        if tangents:
-            z[m:2 * m] = dx_row
-            z[2 * m:] = dt_row
-        for li, (w, b) in enumerate(params[:-1]):
-            if li:
-                np.matmul(a, w, out=z)
-            v = z[:m]
-            v += b
-            if use_softplus:
-                _softplus_inplace(v, e[:m], tmp[:m], nonneg[:m] if tangents else None)
-                if tangents:
-                    tz = z[m:].reshape(2, m, -1)
-                    tz *= e[:m]
-            z, a = a, z
-        w, b = params[-1]
-        ym = y[:kinds * m]
-        np.matmul(a, w, out=ym)
-        ym[:m] += b
-        out[:, :, lo:lo + m] = ym.reshape(kinds, m, 2).transpose(2, 0, 1)
+        a[:m] = inputs[lo:lo + m]
+        zs = [bufs[li % 2, :kinds * m] for li in range(n_hidden)] + [y[:kinds * m]]
+        _layers(spec, params, a[:kinds * m], m, zs, [s[:m]] * n_hidden, tmp[:m],
+                mask[:m] if tangents else None)
+        out[:, :, lo:lo + m] = zs[-1].reshape(kinds, m, 2).transpose(2, 0, 1)
     return out
 
 
@@ -284,7 +296,7 @@ def taped_forward(spec: NetSpec, param_vars: list, x, t,
     returns (Px, Pt, vx, vt) Vars whose parameter adjoints carry the
     second-order cross terms the PDE losses need.
 
-    Per layer, as in `_forward` over one block, rows A = [a; a_x; a_t] give
+    Per layer of `_layers`, rows A = [a; a_x; a_t] give
     Z = A W = [z; z_x; z_t], then a = softplus(z), a_x = s*z_x, a_t = s*z_t
     with s = sigmoid(z); A and s are kept in tape buffers. The reverse is
     W_bar = A^T Z_bar, A_bar = Z_bar W^T with Z_bar = [s*a_bar + (1-s)*
@@ -297,28 +309,13 @@ def taped_forward(spec: NetSpec, param_vars: list, x, t,
     m = points.shape[0]
     rows = (3 if with_tangents else 1) * m
     use_softplus = spec.activation == "softplus"
-    sc = spec.scaler
     a = tape.buffer((rows, 2))
     a[:m] = points
-    if with_tangents:
-        a[m:] = np.repeat(np.diag([sc.dx_factor, sc.dt_factor]), m, axis=0)
     tmp, mask = tape.buffer((m, spec.width)), tape.buffer((m, spec.width), bool)
-    inputs, sigmoids = [a], []
-    for w, b in params[:-1]:
-        z = tape.buffer((rows, spec.width))
-        np.matmul(a, w, out=z)
-        z[:m] += b
-        if use_softplus:
-            sigmoids.append(tape.buffer((m, spec.width)))
-            _softplus_inplace(z[:m], sigmoids[-1], tmp, mask)
-            if with_tangents:
-                tz = z[m:].reshape(2, m, -1)
-                tz *= sigmoids[-1]
-        inputs.append(z)
-        a = z
-    y = tape.buffer((rows, 2))
-    np.matmul(a, params[-1][0], out=y)
-    y[:m] += params[-1][1]
+    zs = [tape.buffer((rows, n_out)) for _, n_out in spec.layer_dims]
+    sigmoids = [tape.buffer((m, spec.width)) for _ in params[:-1]]
+    _layers(spec, params, a, m, zs, sigmoids, tmp, mask)
+    inputs, y = [a] + zs[:-1], zs[-1]
 
     def backward(ybar):
         grads = [None] * (2 * len(params))
@@ -378,20 +375,30 @@ def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
+    with ExitStack() as stack:
         try:
+            # a bare .npy array is not a context manager: TypeError
+            data = stack.enter_context(np.load(path, allow_pickle=False))
             meta = json.loads(str(data["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{path} is not a hydropinn checkpoint") from exc
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {meta.get('format')!r}")
-        spec = NetSpec.from_dict(meta["spec"])
-        params = [
-            (data[f"W{i}"].astype(float), data[f"b{i}"].astype(float))
-            for i in range(int(meta["n_layers"]))
-        ]
-    expected = spec.layer_dims
-    got = [(w.shape[0], w.shape[1]) for w, _ in params]
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {fmt!r}")
+        meta = read_object(meta, "", {
+            "format": text, "spec": NetSpec.from_dict, "n_layers": count,
+            "label": optional(text),
+        }, ("spec", "n_layers"))
+        names = [f"{kind}{i}" for i in range(meta["n_layers"]) for kind in "Wb"]
+        for name in names:
+            if name not in data.files:
+                raise ConfigError(f"{path} has no array {name!r} "
+                                  f"(meta n_layers is {meta['n_layers']})")
+        arrays = [data[name].astype(float) for name in names]
+    spec = meta["spec"]
+    params = list(zip(arrays[::2], arrays[1::2]))
+    expected = [((n_in, n_out), (n_out,)) for n_in, n_out in spec.layer_dims]
+    got = [(w.shape, b.shape) for w, b in params]
     if got != expected:
-        raise ConfigError(f"checkpoint layer shapes {got} do not match spec {expected}")
+        raise ConfigError(f"checkpoint (W, b) shapes {got} do not match spec {expected}")
     return spec, params, meta.get("label")

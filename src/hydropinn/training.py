@@ -93,6 +93,9 @@ class TrainConfig:
             raise ConfigError("stage_iterations must be three non-negative counts")
         if self.iterations is not None and self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
+        if self.iterations is not None and self.baseline == "kih":
+            raise ConfigError("iterations does not apply to kih, which runs "
+                              "stage_iterations; remove it")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -470,13 +473,13 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     return best, start_iteration + iterations
 
 
-def _make_spec(cfg: TrainConfig, data: TrainingData, output_mode: str) -> NetSpec:
+def _make_spec(cfg: TrainConfig, scaler: InputScaler) -> NetSpec:
     return NetSpec(
         hidden_layers=cfg.hidden_layers,
         width=cfg.width,
         activation=cfg.activation,
-        scaler=data.scaler,
-        output_mode=output_mode,
+        scaler=scaler,
+        output_mode=output_mode_for(cfg.baseline),
     )
 
 
@@ -494,7 +497,7 @@ def _schedule(cfg: TrainConfig) -> list:
 def train(cfg: TrainConfig, data: TrainingData, log_every: int = 0, log=print):
     """Run the baseline's stage schedule from a seeded initialization;
     returns (spec, params, trace), params viewing the run's flat buffer."""
-    spec = _make_spec(cfg, data, output_mode_for(cfg.baseline))
+    spec = _make_spec(cfg, data.scaler)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     theta = params_flatten(init_params(spec, rng))
     trace = TrainTrace()

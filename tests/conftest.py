@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def make_ramp_scenario(pipe, fluid, with_offtake=True):
 @pytest.fixture(scope="session")
 def ramp_scenario(pipe, fluid):
     return make_ramp_scenario(pipe, fluid)
+
+
+def write_checkpoint_meta(path, edit) -> None:
+    """Rewrite the checkpoint at `path` with `edit` applied to its meta dict."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    edit(meta)
+    np.savez(path, meta=np.asarray(json.dumps(meta)), **arrays)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from conftest import write_checkpoint_meta
 from hydropinn.cli import main
 from hydropinn.dataset import meta_path, read_dataset
 
@@ -171,6 +173,16 @@ class TestTrainEvalCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: io")
         assert "absent.npz" in err
+
+    def test_checkpoint_without_scaler_is_config_error(self, checkpoint, tiny_dataset,
+                                                       tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        shutil.copy(checkpoint, bad)
+        write_checkpoint_meta(bad, lambda meta: meta["spec"].pop("scaler"))
+        code = main(["eval", str(bad), str(tiny_dataset)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config: missing key 'spec.scaler'")
 
     def test_missing_dataset(self, checkpoint, tmp_path, capsys):
         code = main(["eval", str(checkpoint), str(tmp_path / "no.csv")])

@@ -199,6 +199,14 @@ class TestLossTerms:
             with pytest.raises(DomainError, match="has no points"):
                 CollocationSet(**arrays)
 
+    def test_family_arrays_of_unequal_length_rejected(self):
+        # a length-1 target would otherwise broadcast against the predictions
+        full = vars(self._colloc_single())
+        for name, value in full.items():
+            arrays = {**full, name: np.concatenate([value, value])}
+            with pytest.raises(DomainError, match=f"differ in length: .*{name} 2"):
+                CollocationSet(**arrays)
+
 
 class TestCoupledLoss:
     def test_weights_validation(self):

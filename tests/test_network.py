@@ -1,18 +1,24 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import write_checkpoint_meta
+from hydropinn.autodiff.tape import Tape
 from hydropinn.errors import ConfigError, DomainError
 from hydropinn.network import (
     BLOCK_ROWS,
+    OUTPUT_MODES,
     InputScaler,
     NetSpec,
     forward_with_input_tangents,
     init_params,
     load_checkpoint,
     net_forward,
+    params_to_vars,
     save_checkpoint,
+    taped_forward,
 )
 
 
@@ -106,6 +112,24 @@ class TestBlockedForward:
                 assert np.max(np.abs(out - pieced)) <= 1e-13 * np.max(np.abs(out))
 
 
+@pytest.mark.parametrize("output_mode", OUTPUT_MODES)
+@pytest.mark.parametrize("tangents", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 48, 128, BLOCK_ROWS])
+def test_taped_forward_equals_tape_free_forward(output_mode, tangents, n):
+    """Within one block both forwards run the same layer loop over the same
+    stacked rows, so on the 10 x 50 net their outputs agree bitwise."""
+    spec = NetSpec(output_mode=output_mode,
+                   scaler=InputScaler(0.0, 50_000.0, 0.0, 600.0))
+    params = init_params(spec, 3)
+    rng = np.random.default_rng(3)
+    x, t = rng.uniform(0, 50_000, n), rng.uniform(0, 600, n)
+    fn = forward_with_input_tangents if tangents else net_forward
+    taped = taped_forward(spec, params_to_vars(Tape(), params), x, t,
+                          with_tangents=tangents)
+    for got, want in zip(taped, fn(spec, params, x, t), strict=True):
+        assert np.array_equal(got.value, want)
+
+
 def test_desk_grid_forward_stays_small():
     """The 51 x 1201 desk grid on the 10 x 50 net: buffers are per block,
     so the traced peak stays far below one full-grid layer (24.5 MB)."""
@@ -149,7 +173,27 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "absent.npz")
 
     def test_garbage_file(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, foo=np.zeros(3))
-        with pytest.raises(ConfigError):
+        no_meta, text, array = (tmp_path / f"{k}.npz" for k in ("junk", "notes", "array"))
+        np.savez(no_meta, foo=np.zeros(3))
+        text.write_text("not a checkpoint\n")
+        with open(array, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        for path in (no_meta, text, array):
+            with pytest.raises(ConfigError, match="is not a hydropinn checkpoint"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["spec"].pop("scaler"), "missing key 'spec.scaler'"),
+        (lambda meta: meta["spec"]["scaler"].pop("t_max"),
+         "missing key 'spec.scaler.t_max'"),
+        (lambda meta: meta["spec"].update(width="8"), "spec.width must be"),
+        (lambda meta: meta.update(n_layers=3), "has no array 'W2'"),
+        (lambda meta: meta.pop("n_layers"), "missing key 'n_layers'"),
+    ], ids=["no_scaler", "no_t_max", "text_width", "n_layers_past_arrays",
+            "no_n_layers"])
+    def test_malformed_meta_is_config_error(self, tmp_path, edit, message):
+        path, spec = tmp_path / "model.npz", NetSpec(hidden_layers=1, width=4)
+        save_checkpoint(path, spec, init_params(spec, 0))
+        write_checkpoint_meta(path, edit)
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_checkpoint(path)

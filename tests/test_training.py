@@ -94,6 +94,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(bc_loss_form="mean")
 
+    def test_iterations_on_kih_rejected(self):
+        # kih runs stage_iterations; an `iterations` key used to be ignored
+        with pytest.raises(ConfigError, match="iterations"):
+            TrainConfig(baseline="kih", iterations=5, stage_iterations=(1, 1, 1))
+        with pytest.raises(ConfigError, match="iterations"):
+            TrainConfig.from_dict({"baseline": "kih", "iterations": 20000})
+
     def test_round_trip_dict(self):
         cfg = TrainConfig(baseline="pinn", hidden_layers=4, width=16,
                           iterations=500, seed=9,
@@ -287,7 +294,7 @@ class TestOffObjectiveTerms:
 
     @pytest.fixture()
     def start(self, tiny_cfg, tiny_data):
-        spec = _make_spec(tiny_cfg, tiny_data, output_mode_for(tiny_cfg.baseline))
+        spec = _make_spec(tiny_cfg, tiny_data.scaler)
         return spec, init_params(spec, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind, taped_physics", [

@@ -13,6 +13,9 @@ prints, per baseline:
 * the sha256 of the trained (W, b) arrays and of the trace (every
   `TraceRow`, `StageSummary` and warning) for kih 300/260/300 and for
   pinn and dnn at 300 iterations, each from its shipped config;
+* the sha256 of `net_forward` and of `forward_with_input_tangents` for
+  those trained params over the desk grid (51 x 1201 = 61,251 points, so
+  the forwards' last block has 323 rows), the eval path;
 * the adcheck `max_rel_error` and `worst_coordinate` of the shipped
   config (order 4, 50 coordinates, coordinate seed 7).
 """
@@ -62,6 +65,7 @@ def main(argv) -> int:
     from hydropinn.adcheck import adcheck_from_config
     from hydropinn.dataset import DatasetMeta, read_dataset, write_dataset
     from hydropinn.moc import export_grid, run_details, sample
+    from hydropinn.network import forward_with_input_tangents, net_forward
     from hydropinn.scenario import load_scenario
     from hydropinn.training import TrainingData, load_train_config, train
 
@@ -77,15 +81,22 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "desk.csv"
         write_dataset(sample(field, *export_grid(pipe.length, scenario.duration)), meta, path)
-        data = TrainingData.from_dataset(*read_dataset(path))
+        field_grid, read_meta = read_dataset(path)
+    data = TrainingData.from_dataset(field_grid, read_meta)
+    xg, tg = np.meshgrid(field_grid.xs, field_grid.ts)
 
     for baseline, overrides in RUNS:
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
-        _, params, trace = train(replace(cfg, **overrides), data)
+        spec, params, trace = train(replace(cfg, **overrides), data)
         flat = (np.ascontiguousarray(a).tobytes() for layer in params for a in layer)
         print(f"{baseline} params {_digest(flat)}")
         print(f"{baseline} trace {_digest(_trace_bytes(trace))} "
               f"({len(trace.rows)} rows, {len(trace.warnings)} warnings)")
+        for fn in (net_forward, forward_with_input_tangents):
+            outputs = fn(spec, params, xg.ravel(), tg.ravel())
+            print(f"{baseline} {fn.__name__} "
+                  f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
+                  f"({xg.size} points)")
     for baseline, _ in RUNS:
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
         report = adcheck_from_config(cfg, order=4, max_coordinates=50, coord_seed=7)
