@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec, flowrate_to_velocity, friction_factor, wave_speed
 from .losses import (CollocationSet, PhysicsCoefficients, _mean_sq,
                      _observed_first_channel, data_misfit)
-from .network import InputScaler, NetSpec, init_params, params_to_vars
+from .network import InputScaler, NetSpec, init_params, params_flatten, params_views
 from .training import (TERM_FAMILY, _batch_terms, _family, _make_spec, _objective,
                        _schedule, _weighted_sum)
 
@@ -82,15 +82,15 @@ def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
 
 def taped_coupled_gradient(problem: AdCheckProblem):
     """Gradient of the problem's objective via the tape, built as the stage
-    loop builds it, over all the problem's points."""
+    loop builds it, over all the problem's points; per-layer (gW, gb)
+    views into one flat gradient."""
     p = problem
     tape = Tape()
-    pvars = params_to_vars(tape, p.params)
+    theta_var = tape.leaf(params_flatten(p.params))
     rows = dict.fromkeys({TERM_FAMILY[name] for name in p.objective}, slice(None))
-    terms, _ = _batch_terms(p.spec, pvars, p.colloc, p.coeffs, rows, p.form)
-    flat = [v for pair in pvars for v in pair]
-    grads = tape.gradients(_weighted_sum(p.objective, terms), flat)
-    return [(grads[2 * i], grads[2 * i + 1]) for i in range(len(pvars))]
+    terms, _ = _batch_terms(p.spec, theta_var, p.colloc, p.coeffs, rows, p.form)
+    (grad,) = tape.gradients(_weighted_sum(p.objective, terms), [theta_var])
+    return params_views(p.spec, grad)
 
 
 def fast_coupled_loss(problem: AdCheckProblem) -> float:

@@ -8,12 +8,12 @@ operand; indexing takes int and slice keys only. A whole network forward
 is one node with a hand-derived backward (`network.taped_forward`) that
 carries the input tangents, so PDE residual losses backpropagate to the
 parameters through the tangent computation itself -- forward-over-reverse
-without nested tapes.
+without nested tapes. Its one parent is the leaf over the flat parameter
+buffer, so a gradient is one flat vector.
 
-A tape is reset and re-recorded every training iteration; `buffer` hands
-out arrays that survive `reset`, so what network nodes keep for the
-reverse is allocated once. Vars recorded before the last `reset` are
-rejected. Constants (plain floats/arrays) never create nodes.
+A training stage keeps one tape and resets it every iteration; Vars
+recorded before the last `reset`, or on another tape, are rejected.
+Constants (plain floats/arrays) never create nodes.
 """
 
 from __future__ import annotations
@@ -99,27 +99,12 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple] = []
-        self._buffers: list[np.ndarray] = []
-        self._next_buffer = 0
         self._generation = 0
 
     def reset(self) -> None:
-        """Drop every node, keeping the buffers for the next recording."""
+        """Drop every node; Vars recorded so far become stale."""
         self._nodes.clear()
-        self._next_buffer = 0
         self._generation += 1
-
-    def buffer(self, shape: tuple, dtype=float) -> np.ndarray:
-        """An uninitialized array, valid until the next `reset`. The k-th
-        call after a reset returns the k-th call's array of the recording
-        before it when shape and dtype match."""
-        k = self._next_buffer
-        self._next_buffer += 1
-        if k == len(self._buffers):
-            self._buffers.append(np.empty(shape, dtype))
-        elif self._buffers[k].shape != shape or self._buffers[k].dtype != dtype:
-            self._buffers[k] = np.empty(shape, dtype)
-        return self._buffers[k]
 
     def __len__(self):
         return len(self._nodes)
@@ -137,8 +122,8 @@ class Tape:
 
     def gradients(self, loss: Var, wrt: list[Var]) -> list[np.ndarray]:
         """Adjoints of `wrt` leaves for a scalar loss, via one reverse sweep."""
-        if loss.tape is not self:
-            raise ValueError("loss was recorded on a different tape")
+        if any(v.tape is not self for v in (loss, *wrt)):
+            raise ValueError("Var was recorded on a different tape")
         if any(v.generation != self._generation for v in (loss, *wrt)):
             raise ValueError("Var was recorded before the tape's last reset")
         if loss.value.size != 1:

@@ -78,7 +78,7 @@ def generate(obj, scenario_path, output, moc_dt, grid_dx, grid_dt):
     write_dataset(sampled, meta, out)
     click.echo(f"wrote {sampled.ts.size}x{sampled.xs.size} grid to {out} "
                f"(wave speed {grid.wave_speed:.1f} m/s, "
-               f"f={pipe.friction_factor if pipe.friction_factor else 0:.4g})")
+               f"f={pipe.friction_factor:.4g})")
 
 
 @cli.command("train")

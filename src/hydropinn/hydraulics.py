@@ -173,7 +173,7 @@ def steady_profile(
     v = float(flowrate_to_velocity(outlet_flowrate, pipe.diameter))
     f = pipe.friction_factor
     if f is None:
-        f = friction_factor(fluid, v, pipe.diameter) if v != 0.0 else 0.0
+        f = friction_factor(fluid, v, pipe.diameter)
     grad = f * fluid.density * v * abs(v) / (2.0 * pipe.diameter * 1e6)  # MPa/m
     pressure = inlet_pressure - grad * positions
     if pressure[-1] < 0.0:

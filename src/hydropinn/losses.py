@@ -225,19 +225,19 @@ def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t):
 
 # --- taped API (for training) -------------------------------------------------
 
-def taped_data_loss(spec: NetSpec, param_vars, x, t, P_obs, v_obs,
+def taped_data_loss(spec: NetSpec, theta_var, x, t, P_obs, v_obs,
                     coeffs: PhysicsCoefficients, form: str):
     """Data loss Var plus per-variable diagnostic values."""
-    y1, v = taped_forward(spec, param_vars, x, t)
+    y1, v = taped_forward(spec, theta_var, x, t)
     obs = _observed_first_channel(P_obs, spec, coeffs)
     loss = data_misfit(y1, v, obs, v_obs, form)
     m1, m2 = data_misfit_terms(y1.value, v.value, obs, v_obs)
     return loss, (m1, m2)
 
 
-def taped_physics_losses(spec: NetSpec, param_vars, x, t,
+def taped_physics_losses(spec: NetSpec, theta_var, x, t,
                          coeffs: PhysicsCoefficients):
     """(L_con, L_mo) Vars at collocation points."""
-    g_mo, g_con = _residual_pair(spec, coeffs, taped_forward(spec, param_vars, x, t,
+    g_mo, g_con = _residual_pair(spec, coeffs, taped_forward(spec, theta_var, x, t,
                                                              with_tangents=True))
     return _mean_sq(g_con), _mean_sq(g_mo)

@@ -216,9 +216,8 @@ def run_details(scenario: Scenario, dt: float = 0.5):
 
     v0 = float(flowrate_to_velocity(float(scenario.outlet_flowrate(0.0)), pipe.diameter))
     if pipe.friction_factor is None:
-        f = friction_factor(fluid, v0, pipe.diameter) if v0 != 0.0 else 0.0
-        pipe = pipe.with_friction(f) if f != 0.0 else pipe
-    f = pipe.friction_factor if pipe.friction_factor is not None else 0.0
+        pipe = pipe.with_friction(friction_factor(fluid, v0, pipe.diameter))
+    f = pipe.friction_factor
 
     profile = steady_profile(
         pipe, fluid, float(scenario.inlet_pressure(0.0)),

@@ -14,8 +14,9 @@ Both forwards call it and differ only in the buffers they hand in. The
 tape-free `_forward` (`net_forward`, `forward_with_input_tangents`) walks
 the points in cache-sized blocks over two alternating row buffers, for
 evaluation, eval-set objectives and the adcheck probe. `taped_forward`
-hands in per-layer tape buffers and records the whole forward as one tape
-node with a hand-derived reverse, for training gradients.
+hands in fresh per-layer arrays, which it keeps for the reverse, and
+records the whole forward as one tape node whose only parent is the leaf
+over the flat parameter buffer, for training gradients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff.tape import Tape
 from .config import count, nested, number, optional, read_object, text
 from .errors import ConfigError, DomainError
 
@@ -283,14 +283,10 @@ def forward_with_input_tangents(spec: NetSpec, params: NetParams, x, t):
     return out[0, 0], out[1, 0], out[0, 1], out[0, 2], out[1, 1], out[1, 2]
 
 
-def params_to_vars(tape: Tape, params: NetParams) -> list:
-    return [(tape.leaf(w), tape.leaf(b)) for w, b in params]
-
-
-def taped_forward(spec: NetSpec, param_vars: list, x, t,
-                  with_tangents: bool = False):
-    """Forward pass recorded as one node on the tape of `param_vars`, whose
-    backward is the hand-derived reverse below.
+def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
+    """Forward pass recorded as one node on the tape of `theta_var`, the
+    leaf over the flat parameter buffer (laid out as `params_flatten` writes
+    it), whose backward is the hand-derived reverse below.
 
     Without tangents returns (P, v) Vars; with tangents additionally
     returns (Px, Pt, vx, vt) Vars whose parameter adjoints carry the
@@ -298,33 +294,35 @@ def taped_forward(spec: NetSpec, param_vars: list, x, t,
 
     Per layer of `_layers`, rows A = [a; a_x; a_t] give
     Z = A W = [z; z_x; z_t], then a = softplus(z), a_x = s*z_x, a_t = s*z_t
-    with s = sigmoid(z); A and s are kept in tape buffers. The reverse is
+    with s = sigmoid(z); A and s are kept for the reverse. The reverse is
     W_bar = A^T Z_bar, A_bar = Z_bar W^T with Z_bar = [s*a_bar + (1-s)*
     (a_bar_x*a_x + a_bar_t*a_t); s*a_bar_x; s*a_bar_t], the sigmoid term
-    s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off the next layer's A.
+    s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off the next layer's A. It
+    writes each layer's W_bar and b_bar into that layer's slice of one
+    fresh flat gradient.
     """
-    tape = param_vars[0][0].tape
-    params = [(w.value, b.value) for w, b in param_vars]
+    theta = theta_var.value
+    params = params_views(spec, theta)
     points = _stack_inputs(spec, x, t)
     m = points.shape[0]
     rows = (3 if with_tangents else 1) * m
     use_softplus = spec.activation == "softplus"
-    a = tape.buffer((rows, 2))
+    a = np.empty((rows, 2))
     a[:m] = points
-    tmp, mask = tape.buffer((m, spec.width)), tape.buffer((m, spec.width), bool)
-    zs = [tape.buffer((rows, n_out)) for _, n_out in spec.layer_dims]
-    sigmoids = [tape.buffer((m, spec.width)) for _ in params[:-1]]
+    tmp, mask = np.empty((m, spec.width)), np.empty((m, spec.width), bool)
+    zs = [np.empty((rows, n_out)) for _, n_out in spec.layer_dims]
+    sigmoids = [np.empty((m, spec.width)) for _ in params[:-1]]
     _layers(spec, params, a, m, zs, sigmoids, tmp, mask)
     inputs, y = [a] + zs[:-1], zs[-1]
 
     def backward(ybar):
-        grads = [None] * (2 * len(params))
-        abar = tape.buffer((rows, spec.width))
-        zbar = tape.buffer((rows, spec.width))
+        grad = np.empty_like(theta)
+        grads = params_views(spec, grad)
+        abar, zbar = np.empty((rows, spec.width)), np.empty((rows, spec.width))
         g = ybar
         for li in range(len(params) - 1, -1, -1):
-            grads[2 * li] = inputs[li].T @ g
-            grads[2 * li + 1] = g[:m].sum(axis=0)
+            np.matmul(inputs[li].T, g, out=grads[li][0])
+            g[:m].sum(axis=0, out=grads[li][1])
             if li == 0:
                 break
             np.matmul(g, params[li][0].T, out=abar)
@@ -345,9 +343,9 @@ def taped_forward(spec: NetSpec, param_vars: list, x, t,
             else:
                 np.multiply(abar, s, out=zbar)
             g = zbar
-        return grads
+        return (grad,)
 
-    out = tape.node([p for pair in param_vars for p in pair], y, backward)
+    out = theta_var.tape.node((theta_var,), y, backward)
     if not with_tangents:
         return out[:m, 0], out[:m, 1]
     return (out[:m, 0], out[:m, 1],
@@ -394,7 +392,14 @@ def load_checkpoint(path):
             if name not in data.files:
                 raise ConfigError(f"{path} has no array {name!r} "
                                   f"(meta n_layers is {meta['n_layers']})")
-        arrays = [data[name].astype(float) for name in names]
+        arrays = []
+        for name in names:
+            arr = data[name]
+            if arr.dtype.kind not in "iuf":
+                raise ConfigError(f"{path} array {name!r} has non-numeric dtype {arr.dtype}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{path} array {name!r} has non-finite values")
+            arrays.append(arr.astype(float))
     spec = meta["spec"]
     params = list(zip(arrays[::2], arrays[1::2]))
     expected = [((n_in, n_out), (n_out,)) for n_in, n_out in spec.layer_dims]

@@ -11,9 +11,10 @@ outputs and the unconverted residual operators; `dnn` runs one `data`
 stage (boundary plus initial data, standard per-variable MSE).
 
 Parameters live in one contiguous float64 buffer for the whole run.
-Forwards and the returned `params` are per-layer (W, b) views into it, and
-Adam updates it as one vector. Each stage records on one tape, reset every
-iteration, so the arrays kept for the reverse sweep are allocated once.
+Tape-free forwards and the returned `params` are per-layer (W, b) views
+into it. Each stage records on one tape, reset every iteration, whose only
+leaf is that buffer, so the reverse sweep returns one flat gradient that
+Adam applies to the buffer as one vector.
 
 Each stage returns the best parameters seen on its own objective,
 evaluated on fixed eval sets at stage start, every `EVAL_EVERY` iterations
@@ -55,7 +56,6 @@ from .network import (
     init_params,
     net_forward,
     params_flatten,
-    params_to_vars,
     params_views,
 )
 from .autodiff.tape import Tape
@@ -337,7 +337,7 @@ def _family(colloc: CollocationSet, family: str, idx=slice(None)):
     return tuple(getattr(colloc, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
 
 
-def _batch_terms(spec, pvars, colloc: CollocationSet, coeffs: PhysicsCoefficients,
+def _batch_terms(spec, theta_var, colloc: CollocationSet, coeffs: PhysicsCoefficients,
                  rows: dict, form):
     """Taped terms of each family in `rows` (family -> its rows to use; 'f'
     gives con and mo), plus the per-channel boundary diagnostics with 'bc'."""
@@ -345,13 +345,13 @@ def _batch_terms(spec, pvars, colloc: CollocationSet, coeffs: PhysicsCoefficient
     for family in ("bc", "ic"):
         if family in rows:
             x, t, P, v = _family(colloc, family, rows[family])
-            terms[family], (d1, d2) = taped_data_loss(spec, pvars, x, t, P, v,
+            terms[family], (d1, d2) = taped_data_loss(spec, theta_var, x, t, P, v,
                                                       coeffs, form)
             if family == "bc":
                 diagnostics = {"bc_first": float(d1), "bc_velocity": float(d2)}
     if "f" in rows:
         idx = rows["f"]
-        terms["con"], terms["mo"] = taped_physics_losses(spec, pvars, colloc.x_f[idx],
+        terms["con"], terms["mo"] = taped_physics_losses(spec, theta_var, colloc.x_f[idx],
                                                          colloc.t_f[idx], coeffs)
     return terms, diagnostics
 
@@ -411,9 +411,9 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     for k in range(iterations):
         it = start_iteration + k
         tape.reset()
-        pvars = params_to_vars(tape, params)
+        theta_var = tape.leaf(theta)
         rows = {f: b.next() for f, b in ctx.batchers.items() if f in families}
-        terms, diagnostics = _batch_terms(spec, pvars, data.colloc, data.coeffs,
+        terms, diagnostics = _batch_terms(spec, theta_var, data.colloc, data.coeffs,
                                           rows, form)
         loss_var = _weighted_sum(objective, terms)
         row = {**held, **{name: float(var.value) for name, var in terms.items()},
@@ -428,10 +428,10 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                 trace=trace,
             )
 
-        grads = tape.gradients(loss_var, [var for pair in pvars for var in pair])
+        (grad,) = tape.gradients(loss_var, [theta_var])
         try:
-            adam_step(theta, np.concatenate([g.ravel() for g in grads]), adam,
-                      cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(theta, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2,
+                      cfg.eps)
         except NumericalBlowupError as exc:
             bad = [name for name in LOSS_TERMS if not np.isfinite(row[name])]
             raise NumericalBlowupError(

@@ -11,7 +11,8 @@ from hydropinn.network import (
     forward_with_input_tangents,
     init_params,
     net_forward,
-    params_to_vars,
+    params_flatten,
+    params_views,
     taped_forward,
 )
 
@@ -124,10 +125,11 @@ class TestTape:
                   (rng.normal(size=(3, 2)), rng.normal(size=2))]
         x, t = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
         tape = Tape()
-        pv = params_to_vars(tape, params)
-        P, v = taped_forward(spec, pv, x, t)
+        theta = tape.leaf(params_flatten(params))
+        P, v = taped_forward(spec, theta, x, t)
         loss = (P * P).mean() + (v * v).mean()
-        gw0, gb0, gw1, gb1 = tape.gradients(loss, [q for pair in pv for q in pair])
+        (grad,) = tape.gradients(loss, [theta])
+        (gw0, gb0), (gw1, gb1) = params_views(spec, grad)
         # analytic: y_bar = 2y/n, W1_bar = h^T y_bar, h_bar = y_bar W1^T, ...
         a = np.column_stack([x, t])
         h = a @ params[0][0] + params[0][1]
@@ -154,11 +156,11 @@ class TestTape:
                 return float(sum(np.mean(o * o) for o in out))
 
             tape = Tape()
-            pv = params_to_vars(tape, params)
-            loss = sum(((o * o).mean() for o in taped_forward(spec, pv, x, t,
+            theta = tape.leaf(params_flatten(params))
+            loss = sum(((o * o).mean() for o in taped_forward(spec, theta, x, t,
                                                               with_tangents=True)))
-            g = tape.gradients(loss, [q for pair in pv for q in pair])
-            grad = [(g[2 * i], g[2 * i + 1]) for i in range(len(pv))]
+            (g,) = tape.gradients(loss, [theta])
+            grad = params_views(spec, g)
             report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-6, order=4)
             assert report.passed, (n, report.summary())
 
@@ -168,43 +170,28 @@ class TestTape:
         params = init_params(spec, 8)
         x, t = rng.uniform(0, 1, 7), rng.uniform(0, 1, 7)
         tape = Tape()
-        handed = []
-        buffer = tape.buffer
-
-        def spy(shape, dtype=float):
-            handed.append(buffer(shape, dtype))
-            return handed[-1]
-
-        tape.buffer = spy
 
         def record():
-            handed.clear()
             tape.reset()
-            pv = params_to_vars(tape, params)
-            out = taped_forward(spec, pv, x, t, with_tangents=True)
+            theta = tape.leaf(params_flatten(params))
+            out = taped_forward(spec, theta, x, t, with_tangents=True)
             loss = sum((o * o).mean() for o in out)
-            grads = tape.gradients(loss, [q for pair in pv for q in pair])
-            return list(handed), [g.copy() for g in grads]
+            return tape.gradients(loss, [theta])[0]
 
-        bufs1, g1 = record()
-        bufs2, g2 = record()
-        assert bufs1 and len(bufs1) == len(bufs2)
-        assert all(a is b for a, b in zip(bufs1, bufs2))
-        for ga, gb in zip(g1, g2):
-            assert np.array_equal(ga, gb)
+        assert np.array_equal(record(), record())
 
     def test_stale_loss_rejected(self, rng):
         spec = NetSpec(hidden_layers=1, width=4,
                        scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
         params = init_params(spec, 9)
         tape = Tape()
-        pv = params_to_vars(tape, params)
-        P, _ = taped_forward(spec, pv, rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
+        theta = tape.leaf(params_flatten(params))
+        P, _ = taped_forward(spec, theta, rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
         loss = (P * P).mean()
         tape.reset()
-        fresh = params_to_vars(tape, params)
+        fresh = tape.leaf(params_flatten(params))
         with pytest.raises(ValueError, match="reset"):
-            tape.gradients(loss, [q for pair in fresh for q in pair])
+            tape.gradients(loss, [fresh])
 
     def test_scalar_loss_required(self):
         tape = Tape()
@@ -219,6 +206,14 @@ class TestTape:
         with pytest.raises(ValueError):
             t2.gradients((x * x).mean(), [y])
 
+    def test_foreign_wrt_rejected(self):
+        # x and y are both node 0 of their tapes: y's adjoint must not pass as x's
+        t1, t2 = Tape(), Tape()
+        x = t1.leaf(np.array([1.0, 2.0]))
+        y = t2.leaf(np.array([3.0, 4.0]))
+        with pytest.raises(ValueError, match="different tape"):
+            t2.gradients((y * y).mean(), [x])
+
     def test_linearity_of_gradients(self, rng):
         spec = NetSpec(hidden_layers=2, width=6,
                        scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
@@ -229,13 +224,12 @@ class TestTape:
 
         def grads_of(wa, wb):
             tape = Tape()
-            pv = params_to_vars(tape, params)
-            P, v = taped_forward(spec, pv, x, t)
+            theta = tape.leaf(params_flatten(params))
+            P, v = taped_forward(spec, theta, x, t)
             l1 = ((P - targ) * (P - targ)).mean()
             l2 = (v * v).mean()
             loss = wa * l1 + wb * l2
-            flat = [q for pair in pv for q in pair]
-            return tape.gradients(loss, flat)
+            return tape.gradients(loss, [theta])
 
         g1 = grads_of(1.0, 0.0)
         g2 = grads_of(0.0, 1.0)
@@ -252,11 +246,10 @@ class TestTape:
 
         def run_once():
             tape = Tape()
-            pv = params_to_vars(tape, params)
-            out = taped_forward(spec, pv, x, t, with_tangents=True)
+            theta = tape.leaf(params_flatten(params))
+            out = taped_forward(spec, theta, x, t, with_tangents=True)
             loss = sum(((o * o).mean() for o in out[2:]), (out[0] * out[1]).mean())
-            flat = [q for pair in pv for q in pair]
-            return tape.gradients(loss, flat)
+            return tape.gradients(loss, [theta])
 
         for ga, gb in zip(run_once(), run_once()):
             assert np.array_equal(ga, gb)
@@ -269,8 +262,8 @@ class TestTape:
         t = rng.uniform(0, 3, 6)
         dual_out = forward_with_input_tangents(spec, params, x, t)
         tape = Tape()
-        pv = params_to_vars(tape, params)
-        taped_out = taped_forward(spec, pv, x, t, with_tangents=True)
+        taped_out = taped_forward(spec, tape.leaf(params_flatten(params)), x, t,
+                                  with_tangents=True)
         for d, v in zip(dual_out, taped_out):
             assert np.allclose(d, v.value, rtol=1e-13, atol=1e-15)
 
@@ -363,12 +356,11 @@ class TestSecondOrderCrossTerms:
             return float(np.mean(Px * Px))
 
         tape = Tape()
-        pv = params_to_vars(tape, params)
-        out = taped_forward(spec, pv, x, t, with_tangents=True)
+        theta = tape.leaf(params_flatten(params))
+        out = taped_forward(spec, theta, x, t, with_tangents=True)
         loss = (out[2] * out[2]).mean()
-        flat = [q for pair in pv for q in pair]
-        flat_g = tape.gradients(loss, flat)
-        grad = [(flat_g[2 * i], flat_g[2 * i + 1]) for i in range(len(pv))]
+        (flat_g,) = tape.gradients(loss, [theta])
+        grad = params_views(spec, flat_g)
         report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-5)
         assert report.passed, report.summary()
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import write_checkpoint_meta
 from hydropinn.cli import main
 from hydropinn.dataset import meta_path, read_dataset
+from hydropinn.training import TrainingData
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,19 @@ class TestGenerate:
         assert field.xs.size == 5
         assert field.ts.size == 61
         assert meta.pipe.friction_factor is not None
+
+    def test_start_from_rest_freezes_laminar_friction(self, tiny_scenario_file, tmp_path):
+        sc = json.loads(tiny_scenario_file.read_text())
+        sc.update(duration_s=30.0, inlet_pressure_mpa=[[0.0, 2.4]],
+                  outlet_flowrate_m3ps=[[0.0, 0.0], [30.0, 0.04]])
+        scenario, out = tmp_path / "rest.json", tmp_path / "rest.csv"
+        scenario.write_text(json.dumps(sc))
+        assert main(["generate", str(scenario), "-o", str(out), "--moc-dt", "0.05",
+                     "--grid-dx", "500", "--grid-dt", "1.0"]) == 0
+        field, meta = read_dataset(out)
+        # the laminar value at Re 2300, as for any line at rest
+        assert meta.pipe.friction_factor == 64.0 / 2300.0
+        TrainingData.from_dataset(field, meta)
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "none.json"), "-o",
@@ -215,6 +229,18 @@ class TestTrainEvalCompare:
         _, pa, _ = load_checkpoint(a)
         _, pb, _ = load_checkpoint(b)
         assert not np.array_equal(pa[0][0], pb[0][0])
+
+    def test_divergence_is_numeric_error(self, tiny_train_config, tiny_dataset, tmp_path,
+                                         capsys):
+        cfg = json.loads(tiny_train_config.read_text())
+        cfg["divergence_threshold"] = 1e-300
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["train", str(path), str(tiny_dataset), "-o",
+                     str(tmp_path / "m.npz"), "--log-every", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: numeric: stage 1 diverged at iteration 0")
 
     def test_out_dir_redirect(self, tiny_train_config, tiny_dataset, tmp_path):
         code = main(["--out-dir", str(tmp_path / "sub"), "train",

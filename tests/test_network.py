@@ -16,7 +16,7 @@ from hydropinn.network import (
     init_params,
     load_checkpoint,
     net_forward,
-    params_to_vars,
+    params_flatten,
     save_checkpoint,
     taped_forward,
 )
@@ -124,7 +124,7 @@ def test_taped_forward_equals_tape_free_forward(output_mode, tangents, n):
     rng = np.random.default_rng(3)
     x, t = rng.uniform(0, 50_000, n), rng.uniform(0, 600, n)
     fn = forward_with_input_tangents if tangents else net_forward
-    taped = taped_forward(spec, params_to_vars(Tape(), params), x, t,
+    taped = taped_forward(spec, Tape().leaf(params_flatten(params)), x, t,
                           with_tangents=tangents)
     for got, want in zip(taped, fn(spec, params, x, t), strict=True):
         assert np.array_equal(got.value, want)
@@ -196,4 +196,17 @@ class TestCheckpoint:
         save_checkpoint(path, spec, init_params(spec, 0))
         write_checkpoint_meta(path, edit)
         with pytest.raises(ConfigError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda w: w.astype(str), "array 'W1' has non-numeric dtype <U"),
+        (lambda w: np.full_like(w, np.nan), "array 'W1' has non-finite values"),
+    ], ids=["text_W1", "nan_W1"])
+    def test_bad_array_is_config_error_naming_file_and_array(self, tmp_path, corrupt,
+                                                             message):
+        path, spec = tmp_path / "model.npz", NetSpec(hidden_layers=1, width=4)
+        params = init_params(spec, 0)
+        params[1] = (corrupt(params[1][0]), params[1][1])
+        save_checkpoint(path, spec, params)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} {message}")):
             load_checkpoint(path)

@@ -5,7 +5,8 @@ import pytest
 
 from hydropinn import training
 from hydropinn.dataset import DatasetMeta
-from hydropinn.errors import ConfigError, NumericalBlowupError
+from hydropinn.autodiff.tape import Tape
+from hydropinn.errors import ConfigError, NumericalBlowupError, TrainingDivergedError
 from hydropinn.losses import LossWeights, data_misfit, residuals
 from hydropinn.moc import export_grid, sample
 from hydropinn.network import init_params, net_forward, params_flatten, params_views
@@ -181,6 +182,33 @@ class TestStages:
         data_only, _ = _run_stage(3, "data", 50, cfg, spec, start.copy(),
                                   tiny_data, TrainTrace(), 0)
         assert np.array_equal(coupled, data_only)
+
+
+class TestStageFailures:
+    def test_divergence_names_stage_iteration_and_terms(self, tiny_data):
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(5, 5, 5),
+                          divergence_threshold=1e-300)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(cfg, tiny_data)
+        message = str(info.value)
+        assert message.startswith("stage 1 diverged at iteration 0: loss=")
+        for term in ("bc=", "ic=", "con=", "mo="):
+            assert term in message
+        assert isinstance(info.value.trace, TrainTrace)
+
+    def test_non_finite_gradient_leaves_theta_unchanged(self, monkeypatch, tiny_cfg,
+                                                        tiny_data):
+        monkeypatch.setattr(Tape, "gradients", lambda self, loss, wrt: [
+            np.full_like(v.value, np.nan) for v in wrt])
+        spec = _make_spec(tiny_cfg, tiny_data.scaler)
+        theta = params_flatten(init_params(spec, 0))
+        before = theta.copy()
+        with pytest.raises(NumericalBlowupError) as info:
+            _run_stage(3, "coupled", 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 7)
+        message = str(info.value)
+        assert message.startswith("stage 3 iteration 7: non-finite gradient")
+        assert message.endswith("non-finite loss terms: none (gradient only)")
+        assert np.array_equal(theta, before)
 
 
 class TestBaselines:

@@ -17,7 +17,9 @@ prints, per baseline:
   those trained params over the desk grid (51 x 1201 = 61,251 points, so
   the forwards' last block has 323 rows), the eval path;
 * the adcheck `max_rel_error` and `worst_coordinate` of the shipped
-  config (order 4, 50 coordinates, coordinate seed 7).
+  config (order 4, 50 coordinates, coordinate seed 7), and the sha256 of
+  the full taped gradient that check compares against, captured by
+  wrapping `hydropinn.adcheck.taped_coupled_gradient`.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def main(argv) -> int:
     sys.path.insert(0, str(root / "src"))
     import numpy as np
     import hydropinn
+    import hydropinn.adcheck
     from hydropinn.adcheck import adcheck_from_config
     from hydropinn.dataset import DatasetMeta, read_dataset, write_dataset
     from hydropinn.moc import export_grid, run_details, sample
@@ -97,10 +100,22 @@ def main(argv) -> int:
             print(f"{baseline} {fn.__name__} "
                   f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
                   f"({xg.size} points)")
+    grads = []
+    taped_gradient = hydropinn.adcheck.taped_coupled_gradient
+
+    def capture(problem):
+        grads.append(taped_gradient(problem))
+        return grads[-1]
+
+    hydropinn.adcheck.taped_coupled_gradient = capture
     for baseline, _ in RUNS:
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
+        grads.clear()
         report = adcheck_from_config(cfg, order=4, max_coordinates=50, coord_seed=7)
         print(f"{baseline} adcheck {report.max_rel_error!r} at {report.worst_coordinate}")
+        (grad,) = grads
+        print(f"{baseline} adcheck gradient "
+              f"{_digest(np.ascontiguousarray(a).tobytes() for layer in grad for a in layer)}")
     return 0
 
 
