@@ -85,11 +85,10 @@ def taped_coupled_gradient(problem: AdCheckProblem):
     loop builds it, over all the problem's points; per-layer (gW, gb)
     views into one flat gradient."""
     p = problem
-    tape = Tape()
-    theta_var = tape.leaf(params_flatten(p.params))
+    theta_var = Tape().leaf(params_flatten(p.params))
     rows = dict.fromkeys({TERM_FAMILY[name] for name in p.objective}, slice(None))
     terms, _ = _batch_terms(p.spec, theta_var, p.colloc, p.coeffs, rows, p.form)
-    (grad,) = tape.gradients(_weighted_sum(p.objective, terms), [theta_var])
+    (grad,) = theta_var.tape.gradients(_weighted_sum(p.objective, terms), [theta_var])
     return params_views(p.spec, grad)
 
 

@@ -11,8 +11,8 @@ parameters through the tangent computation itself -- forward-over-reverse
 without nested tapes. Its one parent is the leaf over the flat parameter
 buffer, so a gradient is one flat vector.
 
-A training stage keeps one tape and resets it every iteration; Vars
-recorded before the last `reset`, or on another tape, are rejected.
+Training records each iteration on a fresh tape and drops it once the
+gradient is taken; a Var recorded on another tape is rejected.
 Constants (plain floats/arrays) never create nodes.
 """
 
@@ -24,17 +24,16 @@ import numpy as np
 class Var:
     """Handle to one tape node; supports the arithmetic the losses need."""
 
-    __slots__ = ("tape", "index", "value", "generation")
+    __slots__ = ("tape", "index", "value")
 
     # make numpy defer to the reflected operators instead of broadcasting
     # over a Var as an object scalar
     __array_ufunc__ = None
 
-    def __init__(self, tape: "Tape", index: int, value: np.ndarray, generation: int):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
         self.value = value
-        self.generation = generation
 
     @property
     def shape(self):
@@ -99,12 +98,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple] = []
-        self._generation = 0
-
-    def reset(self) -> None:
-        """Drop every node; Vars recorded so far become stale."""
-        self._nodes.clear()
-        self._generation += 1
 
     def __len__(self):
         return len(self._nodes)
@@ -117,15 +110,12 @@ class Tape:
         """Record `value`, computed from the Vars `parents`; `backward(adjoint)`
         returns their adjoints in order."""
         self._nodes.append((tuple(p.index for p in parents), backward))
-        return Var(self, len(self._nodes) - 1, np.asarray(value, dtype=float),
-                   self._generation)
+        return Var(self, len(self._nodes) - 1, np.asarray(value, dtype=float))
 
     def gradients(self, loss: Var, wrt: list[Var]) -> list[np.ndarray]:
         """Adjoints of `wrt` leaves for a scalar loss, via one reverse sweep."""
         if any(v.tape is not self for v in (loss, *wrt)):
             raise ValueError("Var was recorded on a different tape")
-        if any(v.generation != self._generation for v in (loss, *wrt)):
-            raise ValueError("Var was recorded before the tape's last reset")
         if loss.value.size != 1:
             raise ValueError("gradients require a scalar loss")
         adj: list = [None] * len(self._nodes)

@@ -82,12 +82,13 @@ def write_dataset(field: FieldGrid, meta: DatasetMeta, path) -> None:
 
 def _malformed_row(lines: list[str]) -> str:
     """The first data line (numbered from the header, line 1) that is not
-    four comma-separated numbers."""
+    four comma-separated finite numbers, parsed as `read_dataset` parses it."""
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            if len([float(cell) for cell in line.split(",")]) == 4:
+            cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+            if cells.shape[1] == 4 and np.isfinite(cells).all():
                 continue
         except ValueError:
             pass
@@ -106,9 +107,9 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
         rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError:
         rows = None
-    if rows is None or rows.shape[1] != 4:
+    if rows is None or rows.shape[1] != 4 or not np.isfinite(rows).all():
         raise ConfigError(f"{path}: {_malformed_row(lines)} is not four "
-                          "comma-separated numbers")
+                          "comma-separated finite numbers")
     xs = np.unique(rows[:, 0])
     nx = xs.size
     if rows.shape[0] % nx != 0:

@@ -82,8 +82,6 @@ class FieldGrid:
                 f"FieldGrid arrays must have shape {expected}, "
                 f"got P{self.P.shape} v{self.v.shape}"
             )
-        if not (np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.v))):
-            raise DomainError("FieldGrid values must be finite")
 
 
 def build_grid(pipe: PipelineSpec, fluid: FluidSpec, dt: float) -> MocGrid:
@@ -214,9 +212,17 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     xs = grid.positions
     area = pipe.area
 
-    v0 = float(flowrate_to_velocity(float(scenario.outlet_flowrate(0.0)), pipe.diameter))
+    q0 = float(scenario.outlet_flowrate(0.0))
+    v0 = float(flowrate_to_velocity(q0, pipe.diameter))
     if pipe.friction_factor is None:
-        pipe = pipe.with_friction(friction_factor(fluid, v0, pipe.diameter))
+        f0 = friction_factor(fluid, v0, pipe.diameter)
+        if not 0 < f0 < 0.1:  # only laminar 64/Re leaves the band, below Re 640
+            reynolds = abs(v0) * pipe.diameter / fluid.kinematic_viscosity
+            raise DomainError(
+                f"the initial outlet flowrate {q0:.4g} m^3/s (Re {reynolds:.4g}) gives a "
+                f"laminar friction factor 64/Re = {f0:.4g}, outside (0, 0.1); start "
+                "from rest, from a flow above Re 640, or set pipe.friction_factor")
+        pipe = pipe.with_friction(f0)
     f = pipe.friction_factor
 
     profile = steady_profile(

@@ -22,6 +22,7 @@ over the flat parameter buffer, for training gradients.
 from __future__ import annotations
 
 import json
+import zipfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -375,10 +376,13 @@ def load_checkpoint(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with ExitStack() as stack:
         try:
-            # a bare .npy array is not a context manager: TypeError
-            data = stack.enter_context(np.load(path, allow_pickle=False))
+            # a bare .npy array is not a context manager: TypeError; an empty
+            # file: EOFError; a truncated archive: BadZipFile, after which
+            # np.load would leave a file it opened itself unclosed
+            fh = stack.enter_context(path.open("rb"))
+            data = stack.enter_context(np.load(fh, allow_pickle=False))
             meta = json.loads(str(data["meta"]))
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"{path} is not a hydropinn checkpoint") from exc
         fmt = meta.get("format") if isinstance(meta, dict) else None
         if fmt != CHECKPOINT_FORMAT:
@@ -394,7 +398,10 @@ def load_checkpoint(path):
                                   f"(meta n_layers is {meta['n_layers']})")
         arrays = []
         for name in names:
-            arr = data[name]
+            try:
+                arr = data[name]
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise ConfigError(f"{path} array {name!r} is corrupt: {exc}") from exc
             if arr.dtype.kind not in "iuf":
                 raise ConfigError(f"{path} array {name!r} has non-numeric dtype {arr.dtype}")
             if not np.all(np.isfinite(arr)):

@@ -12,9 +12,10 @@ stage (boundary plus initial data, standard per-variable MSE).
 
 Parameters live in one contiguous float64 buffer for the whole run.
 Tape-free forwards and the returned `params` are per-layer (W, b) views
-into it. Each stage records on one tape, reset every iteration, whose only
-leaf is that buffer, so the reverse sweep returns one flat gradient that
-Adam applies to the buffer as one vector.
+into it. Each iteration records on a fresh tape whose only leaf is that
+buffer, so the reverse sweep returns one flat gradient that Adam applies
+to the buffer as one vector; the tape is dropped once the gradient is
+taken.
 
 Each stage returns the best parameters seen on its own objective,
 evaluated on fixed eval sets at stage start, every `EVAL_EVERY` iterations
@@ -25,7 +26,8 @@ An iteration computes only the terms of its stage objective, on the
 current batch. The trace's other loss columns hold the latest values of
 those terms on the fixed eval sets, refreshed at stage start and every
 `EVAL_EVERY` iterations; the stage-end evaluation computes only the
-objective.
+objective. The taped `_batch_terms` and the tape-free `_eval_terms` take
+the same `{family: rows}` map ('bc', 'ic', and 'f' for con and mo).
 """
 
 from __future__ import annotations
@@ -280,26 +282,20 @@ class _FamilyBatcher:
         return idx
 
 
-@dataclass
-class _StageContext:
-    """Fixed evaluation sets and batchers for one stage (seeded per stage)."""
-
-    batchers: dict  # family ('bc', 'ic', 'f') -> _FamilyBatcher
-    f_eval_idx: np.ndarray
-
-
-def _stage_context(cfg: TrainConfig, data: TrainingData, stage_id: int) -> _StageContext:
+def _stage_rows(cfg: TrainConfig, data: TrainingData, stage_id: int):
+    """(batchers, eval_rows) of one stage, seeded per stage: a batcher per
+    family ('bc', 'ic', 'f'), and the rows of the fixed eval sets (the full
+    boundary and initial sets, a sorted collocation subset)."""
     seq = np.random.SeedSequence((cfg.seed, stage_id))
     s_bc, s_ic, s_f, s_eval = [np.random.default_rng(s) for s in seq.spawn(4)]
     c = data.colloc
     n_eval = min(EVAL_COLLOCATION_POINTS, c.n_f)
-    f_eval_idx = np.sort(s_eval.choice(c.n_f, size=n_eval, replace=False))
-    return _StageContext(
-        batchers={"bc": _FamilyBatcher(c.n_bc, cfg.batch_size, s_bc),
-                  "ic": _FamilyBatcher(c.n_ic, cfg.batch_size, s_ic),
-                  "f": _FamilyBatcher(c.n_f, cfg.batch_size, s_f)},
-        f_eval_idx=f_eval_idx,
-    )
+    batchers = {"bc": _FamilyBatcher(c.n_bc, cfg.batch_size, s_bc),
+                "ic": _FamilyBatcher(c.n_ic, cfg.batch_size, s_ic),
+                "f": _FamilyBatcher(c.n_f, cfg.batch_size, s_f)}
+    eval_rows = {"bc": slice(None), "ic": slice(None),
+                 "f": np.sort(s_eval.choice(c.n_f, size=n_eval, replace=False))}
+    return batchers, eval_rows
 
 
 LOSS_TERMS = ("bc", "ic", "con", "mo")
@@ -356,23 +352,22 @@ def _batch_terms(spec, theta_var, colloc: CollocationSet, coeffs: PhysicsCoeffic
     return terms, diagnostics
 
 
-def _eval_terms(names, spec, params, data: TrainingData, ctx: _StageContext, form) -> dict:
-    """Tape-free terms `names` on the stage's fixed eval sets (the full
-    boundary and initial sets, the `f_eval_idx` collocation subset), plus
-    the per-channel boundary diagnostics when the boundary term is among them."""
-    c = data.colloc
+def _eval_terms(spec, params, colloc: CollocationSet, coeffs: PhysicsCoefficients,
+                rows: dict, form) -> dict:
+    """Tape-free `_batch_terms`: the float terms of each family in `rows`,
+    with the per-channel boundary diagnostics in the same dict."""
     terms = {}
     for family in ("bc", "ic"):
-        if family in names:
-            x, t, P, v_obs = _family(c, family)
+        if family in rows:
+            x, t, P, v_obs = _family(colloc, family, rows[family])
             y1, v = net_forward(spec, params, x, t)
-            obs = _observed_first_channel(P, spec, data.coeffs)
+            obs = _observed_first_channel(P, spec, coeffs)
             terms[family] = float(data_misfit(y1, v, obs, v_obs, form))
             if family == "bc":
                 terms["bc_first"], terms["bc_velocity"] = data_misfit_terms(y1, v, obs, v_obs)
-    if "con" in names or "mo" in names:
-        idx = ctx.f_eval_idx
-        g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
+    if "f" in rows:
+        idx = rows["f"]
+        g_mo, g_con = residuals(spec, params, coeffs, colloc.x_f[idx], colloc.t_f[idx])
         terms["con"], terms["mo"] = float(_mean_sq(g_con)), float(_mean_sq(g_mo))
     return terms
 
@@ -395,26 +390,24 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     objective. An `ic` stage warns when it grew the boundary loss by more
     than `cfg.bc_retention_factor`.
     """
-    ctx = _stage_context(cfg, data, stage_id)
+    batchers, eval_rows = _stage_rows(cfg, data, stage_id)
     objective = _objective(kind, cfg.weights)
     families = {TERM_FAMILY[name] for name in objective}
     form = cfg.bc_loss_form if form is None else form
     params = params_views(spec, theta)
+    c, coeffs = data.colloc, data.coeffs
 
-    held = _eval_terms(LOSS_TERMS, spec, params, data, ctx, form)
+    held = _eval_terms(spec, params, c, coeffs, eval_rows, form)
     bc_before = held["bc"]
     start_obj = best_obj = _weighted_sum(objective, held)
     best = theta.copy()
     adam = AdamState.zeros(theta.size)
-    tape = Tape()
 
     for k in range(iterations):
         it = start_iteration + k
-        tape.reset()
-        theta_var = tape.leaf(theta)
-        rows = {f: b.next() for f, b in ctx.batchers.items() if f in families}
-        terms, diagnostics = _batch_terms(spec, theta_var, data.colloc, data.coeffs,
-                                          rows, form)
+        theta_var = Tape().leaf(theta)
+        rows = {f: b.next() for f, b in batchers.items() if f in families}
+        terms, diagnostics = _batch_terms(spec, theta_var, c, coeffs, rows, form)
         loss_var = _weighted_sum(objective, terms)
         row = {**held, **{name: float(var.value) for name, var in terms.items()},
                **diagnostics}
@@ -428,7 +421,9 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                 trace=trace,
             )
 
-        (grad,) = tape.gradients(loss_var, [theta_var])
+        (grad,) = theta_var.tape.gradients(loss_var, [theta_var])
+        # free this iteration's tape before the next one records its forwards
+        del theta_var, terms, loss_var
         try:
             adam_step(theta, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2,
                       cfg.eps)
@@ -447,8 +442,8 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
         last = k + 1 == iterations
         if last or (k + 1) % EVAL_EVERY == 0:
-            held.update(_eval_terms(objective if last else LOSS_TERMS, spec, params,
-                                    data, ctx, form))
+            sets = {f: eval_rows[f] for f in families} if last else eval_rows
+            held.update(_eval_terms(spec, params, c, coeffs, sets, form))
             obj = _weighted_sum(objective, held)
             if obj < best_obj:
                 best_obj = obj
@@ -462,8 +457,8 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         StageSummary(stage=stage_id, objective_start=start_obj,
                      objective_end=best_obj))
     if kind == "ic":
-        bc_after = _eval_terms(("bc",), spec, params_views(spec, best), data, ctx,
-                               form)["bc"]
+        bc_after = _eval_terms(spec, params_views(spec, best), c, coeffs,
+                               {"bc": eval_rows["bc"]}, form)["bc"]
         if bc_after > cfg.bc_retention_factor * max(bc_before, 1e-300):
             trace.warnings.append(
                 f"stage {stage_id} grew the boundary loss "

@@ -164,35 +164,6 @@ class TestTape:
             report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-6, order=4)
             assert report.passed, (n, report.summary())
 
-    def test_reset_reuses_buffers(self, rng):
-        spec = NetSpec(hidden_layers=3, width=6,
-                       scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
-        params = init_params(spec, 8)
-        x, t = rng.uniform(0, 1, 7), rng.uniform(0, 1, 7)
-        tape = Tape()
-
-        def record():
-            tape.reset()
-            theta = tape.leaf(params_flatten(params))
-            out = taped_forward(spec, theta, x, t, with_tangents=True)
-            loss = sum((o * o).mean() for o in out)
-            return tape.gradients(loss, [theta])[0]
-
-        assert np.array_equal(record(), record())
-
-    def test_stale_loss_rejected(self, rng):
-        spec = NetSpec(hidden_layers=1, width=4,
-                       scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
-        params = init_params(spec, 9)
-        tape = Tape()
-        theta = tape.leaf(params_flatten(params))
-        P, _ = taped_forward(spec, theta, rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
-        loss = (P * P).mean()
-        tape.reset()
-        fresh = tape.leaf(params_flatten(params))
-        with pytest.raises(ValueError, match="reset"):
-            tape.gradients(loss, [fresh])
-
     def test_scalar_loss_required(self):
         tape = Tape()
         x = tape.leaf(np.array([1.0, 2.0]))

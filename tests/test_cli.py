@@ -73,6 +73,21 @@ class TestGenerate:
         assert meta.pipe.friction_factor == 64.0 / 2300.0
         TrainingData.from_dataset(field, meta)
 
+    def test_slow_start_flow_names_flow_and_reynolds_number(self, tiny_scenario_file,
+                                                            tmp_path, capsys):
+        sc = json.loads(tiny_scenario_file.read_text())
+        sc.update(duration_s=30.0, inlet_pressure_mpa=[[0.0, 2.4]],
+                  outlet_flowrate_m3ps=[[0.0, 1e-4], [30.0, 0.04]])
+        scenario = tmp_path / "slow.json"
+        scenario.write_text(json.dumps(sc))
+        assert main(["generate", str(scenario), "-o", str(tmp_path / "slow.csv"),
+                     "--moc-dt", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain:")
+        # v = 1e-4 / (pi 0.25^2 / 4) = 2.04e-3 m/s, Re = v D / nu = 97.9
+        for part in ("outlet flowrate 0.0001 m^3/s", "Re 97.94", "64/Re = 0.6535"):
+            assert part in err
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "none.json"), "-o",
                      str(tmp_path / "out.csv")])
@@ -206,15 +221,32 @@ class TestTrainEvalCompare:
     def test_malformed_dataset_row_is_config_error(self, checkpoint, tiny_dataset,
                                                    tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        lines = tiny_dataset.read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0]  # drop the velocity cell
-        bad.write_text("\n".join(lines) + "\n")
         meta_path(bad).write_text(meta_path(tiny_dataset).read_text())
-        code = main(["eval", str(checkpoint), str(bad)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:")
-        assert "bad.csv: line 3 " in err
+        for edit in (lambda cells: cells[:3],  # drop the velocity cell
+                     lambda cells: cells[:2] + ["nan", cells[3]],
+                     lambda cells: cells[:3] + ["-inf"],
+                     # Python's float() reads "2_4" as 24, numpy does not
+                     lambda cells: cells[:2] + ["2_4", cells[3]]):
+            lines = tiny_dataset.read_text().splitlines()
+            lines[2] = ",".join(edit(lines[2].split(",")))
+            bad.write_text("\n".join(lines) + "\n")
+            code = main(["eval", str(checkpoint), str(bad)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config:")
+            assert f"bad.csv: line 3 ({lines[2]!r})" in err
+
+    def test_empty_or_truncated_checkpoint_is_config_error(self, checkpoint, tiny_dataset,
+                                                          tmp_path, capsys):
+        whole = checkpoint.read_bytes()
+        for name, content in (("empty", b""), ("half", whole[:len(whole) // 2]),
+                              ("head", whole[:10])):
+            bad = tmp_path / f"{name}.npz"
+            bad.write_bytes(content)
+            assert main(["eval", str(bad), str(tiny_dataset)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config:")
+            assert f"{name}.npz is not a hydropinn checkpoint" in err
 
     def test_seed_override_changes_result(self, tiny_train_config, tiny_dataset,
                                           tmp_path):

@@ -173,14 +173,27 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "absent.npz")
 
     def test_garbage_file(self, tmp_path):
-        no_meta, text, array = (tmp_path / f"{k}.npz" for k in ("junk", "notes", "array"))
+        no_meta, text, array, empty, half, head = (
+            tmp_path / f"{k}.npz" for k in ("junk", "notes", "array", "empty", "half", "head"))
         np.savez(no_meta, foo=np.zeros(3))
         text.write_text("not a checkpoint\n")
         with open(array, "wb") as fh:
             np.save(fh, np.zeros(3))
-        for path in (no_meta, text, array):
+        empty.write_bytes(b"")
+        spec = NetSpec(hidden_layers=1, width=4)
+        save_checkpoint(half, spec, init_params(spec, 0))
+        whole = half.read_bytes()
+        half.write_bytes(whole[:len(whole) // 2])
+        head.write_bytes(whole[:10])
+        for path in (no_meta, text, array, empty, half, head):
             with pytest.raises(ConfigError, match="is not a hydropinn checkpoint"):
                 load_checkpoint(path)
+        # one byte flipped inside W0's archive member fails its CRC check
+        flipped = bytearray(whole)
+        flipped[whole.index(b"W0.npy") + 200] ^= 0xFF
+        half.write_bytes(bytes(flipped))
+        with pytest.raises(ConfigError, match="array 'W0' is corrupt"):
+            load_checkpoint(half)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: meta["spec"].pop("scaler"), "missing key 'spec.scaler'"),

@@ -9,7 +9,8 @@ from hydropinn.autodiff.tape import Tape
 from hydropinn.errors import ConfigError, NumericalBlowupError, TrainingDivergedError
 from hydropinn.losses import LossWeights, data_misfit, residuals
 from hydropinn.moc import export_grid, sample
-from hydropinn.network import init_params, net_forward, params_flatten, params_views
+from hydropinn.network import (BLOCK_ROWS, InputScaler, init_params, net_forward,
+                               params_flatten, params_views)
 from hydropinn.training import (
     AdamState,
     TrainConfig,
@@ -19,7 +20,7 @@ from hydropinn.training import (
     _objective,
     _run_stage,
     _schedule,
-    _stage_context,
+    _stage_rows,
     adam_step,
     output_mode_for,
     train,
@@ -316,6 +317,34 @@ class TestGradientValidity:
         assert objectives == [expected] * (1 + 4 * 2)
 
 
+class TestTermFunctions:
+    """The taped `_batch_terms` and the tape-free `_eval_terms` give bitwise
+    equal terms and diagnostics on the same rows, while a block holds the
+    rows (the two forwards are bitwise equal up to BLOCK_ROWS points)."""
+
+    @pytest.mark.parametrize("n", [1, 128, 512])
+    @pytest.mark.parametrize("form", ["split", "paper"])
+    @pytest.mark.parametrize("baseline", ["kih", "pinn"])
+    def test_taped_and_tape_free_terms_agree(self, baseline, form, n):
+        from hydropinn.adcheck import build_problem, default_coefficients
+
+        assert n <= BLOCK_ROWS
+        cfg = TrainConfig(baseline=baseline)
+        spec = _make_spec(cfg, InputScaler(0.0, 50_000.0, 0.0, 600.0))
+        problem = build_problem(spec, default_coefficients(),
+                                _objective("coupled", cfg.weights), form,
+                                n_points=600, seed=n)
+        rng = np.random.default_rng(n)
+        rows = {family: rng.choice(600, n, replace=False) for family in ("bc", "ic", "f")}
+        theta = params_flatten(problem.params)
+        terms, diagnostics = training._batch_terms(spec, Tape().leaf(theta), problem.colloc,
+                                                   problem.coeffs, rows, form)
+        taped = {**{name: float(var.value) for name, var in terms.items()}, **diagnostics}
+        assert taped == training._eval_terms(spec, params_views(spec, theta), problem.colloc,
+                                             problem.coeffs, rows, form)
+        assert set(taped) == {"bc", "ic", "con", "mo", "bc_first", "bc_velocity"}
+
+
 class TestOffObjectiveTerms:
     """Stage iterations compute only their objective; the other trace
     columns come from the fixed eval sets."""
@@ -348,7 +377,7 @@ class TestOffObjectiveTerms:
 
     def _eval_set_values(self, cfg, data, spec, params, stage_id):
         c = data.colloc
-        idx = _stage_context(cfg, data, stage_id).f_eval_idx
+        idx = _stage_rows(cfg, data, stage_id)[1]["f"]
         g_mo, g_con = residuals(spec, params, data.coeffs, c.x_f[idx], c.t_f[idx])
         data_terms = [data_misfit(*net_forward(spec, params, x, t), P, v, "split")
                       for x, t, P, v in ((c.x_bc, c.t_bc, c.P_bc, c.v_bc),
