@@ -97,19 +97,28 @@ def _malformed_row(lines: list[str]) -> str:
 
 
 def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
+    """Read a dataset CSV and its sidecar.
+
+    The rows are parsed straight from the open file, so the transient memory
+    is the parsed array, not the file's text; the lines are read again only
+    to name a malformed row.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ConfigError(f"{path} is not a dataset CSV (expected header '{CSV_HEADER}')")
-    if not any(line.strip() for line in lines[1:]):
-        raise ConfigError(f"{path} has no data rows")
-    try:
-        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        rows = None
+    with path.open() as csv:
+        if csv.readline().strip() != CSV_HEADER:
+            raise ConfigError(f"{path} is not a dataset CSV (expected header '{CSV_HEADER}')")
+        start = csv.tell()
+        # loadtxt warns on input without rows; find one non-blank line first
+        if not any(line.strip() for line in iter(csv.readline, "")):
+            raise ConfigError(f"{path} has no data rows")
+        csv.seek(start)
+        try:
+            rows = np.loadtxt(csv, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            rows = None
     if rows is None or rows.shape[1] != 4 or not np.isfinite(rows).all():
-        raise ConfigError(f"{path}: {_malformed_row(lines)} is not four "
-                          "comma-separated finite numbers")
+        raise ConfigError(f"{path}: {_malformed_row(path.read_text().splitlines())} "
+                          "is not four comma-separated finite numbers")
     xs = np.unique(rows[:, 0])
     nx = xs.size
     if rows.shape[0] % nx != 0:

@@ -298,16 +298,24 @@ def sample(field: FieldGrid, xs_out, ts_out) -> FieldGrid:
 
     The field's axes must be uniformly spaced (GridError otherwise), as the
     MOC and export grids are.
+
+    Only the source rows that bracket an output time are interpolated in x,
+    so the transient memory is O(export grid), not O(source rows); every
+    output element is the same x-then-t blend, in the same order, as
+    interpolating all source rows first.
     """
     ix, wx = _axis_weights(field.xs, xs_out, "x")
     it, wt = _axis_weights(field.ts, ts_out, "t")
+    ix1 = np.minimum(ix + 1, field.xs.size - 1)
+    rows, pick = np.unique(np.concatenate([it, np.minimum(it + 1, field.ts.size - 1)]),
+                           return_inverse=True)
+    lo, hi = pick[:it.size], pick[it.size:]
 
     def interp(values: np.ndarray) -> np.ndarray:
-        in_x = values[:, ix] * (1.0 - wx) + values[:, np.minimum(ix + 1, field.xs.size - 1)] * wx
+        in_x = values[rows[:, None], ix] * (1.0 - wx) + values[rows[:, None], ix1] * wx
         if field.ts.size == 1:
-            return in_x[np.zeros(it.size, dtype=int), :]
-        return (in_x[it, :] * (1.0 - wt)[:, None]
-                + in_x[np.minimum(it + 1, field.ts.size - 1), :] * wt[:, None])
+            return in_x[lo, :]
+        return in_x[lo, :] * (1.0 - wt)[:, None] + in_x[hi, :] * wt[:, None]
 
     return FieldGrid(
         xs=np.atleast_1d(np.asarray(xs_out, dtype=float)),

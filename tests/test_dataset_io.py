@@ -109,10 +109,33 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError, match=r"ds\.csv: line 3 "):
             read_dataset(path)
 
+    @pytest.mark.filterwarnings("error")  # loadtxt warns on input without rows
     def test_no_data_rows(self, tmp_path, fluid, pipe):
         path = self._write_lines(tmp_path, fluid, pipe, [])
         with pytest.raises(ConfigError, match="no data rows"):
             read_dataset(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["\n\n", " \n\t\n"],
+                             ids=["blank-lines", "whitespace-lines"])
+    def test_blank_lines_are_no_data_rows(self, tmp_path, fluid, pipe, body):
+        path = self._write_lines(tmp_path, fluid, pipe, [])
+        path.write_text(path.read_text() + body)
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_dataset(path)
+
+    def test_crlf_copy_reads_back_bitwise_equal(self, tmp_path, rng, fluid, pipe):
+        field = self._random_field(rng)
+        meta = DatasetMeta(pipe=pipe.with_friction(0.0221), fluid=fluid,
+                           wave_speed=1190.476)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_dataset(field, meta, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        meta_path(crlf).write_bytes(meta_path(lf).read_bytes())
+        a, _ = read_dataset(lf)
+        b, _ = read_dataset(crlf)
+        for key in ("xs", "ts", "P", "v"):
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
 
     def test_missing_sidecar(self, tmp_path, rng, fluid, pipe):
         field = self._random_field(rng)

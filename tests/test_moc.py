@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hydropinn.hydraulics import (
 )
 from hydropinn.moc import (
     FieldGrid,
+    _axis_weights,
     build_grid,
     export_grid,
     interior_column_indices,
@@ -368,6 +370,83 @@ class TestSample:
         xs, ts = export_grid(frozen_pipe.length, 600.0)
         out = sample(field, xs, ts)
         assert out.P.shape == (ts.size, xs.size)
+
+    @staticmethod
+    def _full_height(field, xs_out, ts_out):
+        """The oracle: interpolate every source row in x, then blend in t."""
+        ix, wx = _axis_weights(field.xs, xs_out, "x")
+        it, wt = _axis_weights(field.ts, ts_out, "t")
+
+        def interp(values):
+            in_x = (values[:, ix] * (1.0 - wx)
+                    + values[:, np.minimum(ix + 1, field.xs.size - 1)] * wx)
+            if field.ts.size == 1:
+                return in_x[np.zeros(it.size, dtype=int), :]
+            return (in_x[it, :] * (1.0 - wt)[:, None]
+                    + in_x[np.minimum(it + 1, field.ts.size - 1), :] * wt[:, None])
+
+        return interp(field.P), interp(field.v)
+
+    def _assert_bitwise_oracle(self, field, xs_out, ts_out):
+        out = sample(field, xs_out, ts_out)
+        for got, want in zip((out.P, out.v), self._full_height(field, xs_out, ts_out)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return out
+
+    @staticmethod
+    def _random_field(rng, nt, nx, duration=600.0, length=50_000.0):
+        return FieldGrid(xs=np.linspace(0.0, length, nx), ts=np.linspace(0.0, duration, nt),
+                         P=rng.standard_normal((nt, nx)) * 3.0,
+                         v=rng.standard_normal((nt, nx)) / 7.0)
+
+    def test_bitwise_equal_full_height_fractional_weights(self, rng):
+        field = self._random_field(rng, 97, 31)
+        xs_out = np.unique(np.concatenate([[0.0, 50_000.0], rng.uniform(0.0, 50_000.0, 17)]))
+        ts_out = np.unique(np.concatenate([[0.0, 600.0], rng.uniform(0.0, 600.0, 23)]))
+        self._assert_bitwise_oracle(field, xs_out, ts_out)
+
+    def test_bitwise_equal_full_height_node_exact_ten_to_one(self, rng):
+        # a 0.05 s source sampled every 0.5 s: every t weight snaps to a node
+        # (0, or 1 for the last time, which reads the last interval)
+        field = self._random_field(rng, 1201, 846, duration=60.0)
+        xs_out, ts_out = export_grid(50_000.0, 60.0)
+        assert np.isin(_axis_weights(field.ts, ts_out, "t")[1], (0.0, 1.0)).all()
+        self._assert_bitwise_oracle(field, xs_out, ts_out)
+
+    def test_bitwise_equal_full_height_shared_source_rows(self, rng):
+        # output times finer than the source: several share one bracketing
+        # row pair, and one time's upper row is the next time's lower row
+        field = self._random_field(rng, 61, 11)
+        ts_out = np.array([0.0, 3.0, 7.5, 9.99, 10.0, 10.01, 14.0, 20.0, 590.0, 600.0])
+        self._assert_bitwise_oracle(field, np.linspace(0.0, 50_000.0, 7), ts_out)
+
+    @pytest.mark.parametrize("ts_out", [[10.0, 5.0], [10.0, 10.0]],
+                             ids=["descending", "repeated"])
+    def test_non_increasing_query_times_rejected(self, rng, ts_out):
+        field = self._random_field(rng, 61, 11)
+        with pytest.raises(DomainError, match="ts"):
+            sample(field, field.xs, np.array(ts_out))
+
+    def test_one_row_source_is_exact(self, rng):
+        field = FieldGrid(xs=np.linspace(0.0, 100.0, 5), ts=np.array([0.0]),
+                          P=rng.standard_normal((1, 5)), v=rng.standard_normal((1, 5)))
+        out = self._assert_bitwise_oracle(field, field.xs, np.array([0.0]))
+        assert np.array_equal(out.P, field.P)
+        assert np.array_equal(out.v, field.v)
+        self._assert_bitwise_oracle(field, np.array([12.5, 99.0]), np.array([0.0]))
+
+    def test_transient_memory_scales_with_export_grid(self):
+        field = FieldGrid(xs=np.linspace(0.0, 1000.0, 400), ts=np.linspace(0.0, 400.0, 4001),
+                          P=np.zeros((4001, 400)), v=np.zeros((4001, 400)))
+        full_height = 4001 * 21 * 8  # one (source rows x output columns) float64 array
+        tracemalloc.start()
+        try:
+            sample(field, np.linspace(0.0, 1000.0, 21), np.linspace(0.0, 400.0, 41))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_height
 
     def test_desk_grid_has_51_columns_and_48_interior(self, desk_dataset):
         field, meta = desk_dataset

@@ -5,10 +5,12 @@ arithmetic must print the same lines on both.
 
     python3 tools/bitwise_gate.py [CHECKOUT]    # default: this checkout
 
-It imports hydropinn from CHECKOUT/src with BLAS pinned to one thread,
-generates the desk dataset (`configs/desk_scenario.json` at the CLI's
-default MOC step and export grid, written and read back as CSV), and
-prints, per baseline:
+It imports hydropinn from CHECKOUT/src with BLAS pinned to one thread and
+generates the desk dataset (`configs/desk_scenario.json` on the export
+grid, written and read back as CSV) at two MOC steps. At the CLI's default
+0.5 s every t weight snaps to a node; at 0.05 s ten source steps fall in
+each export step. For both it prints the sha256 of the sampled field and of
+its CSV read-back. It trains on the 0.5 s dataset and prints, per baseline:
 
 * the sha256 of the trained (W, b) arrays and of the trace (every
   `TraceRow`, `StageSummary` and warning) for kih 300/260/300 and for
@@ -77,14 +79,23 @@ def main(argv) -> int:
         return 1
 
     scenario = load_scenario(root / "configs" / "desk_scenario.json")
-    field, grid, pipe = run_details(scenario)
-    meta = DatasetMeta(pipe=pipe, fluid=scenario.fluid, wave_speed=grid.wave_speed,
-                       offtake_x=None if scenario.offtake is None
-                       else scenario.offtake.position)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "desk.csv"
-        write_dataset(sample(field, *export_grid(pipe.length, scenario.duration)), meta, path)
-        field_grid, read_meta = read_dataset(path)
+
+    def field_bytes(field):
+        return (np.ascontiguousarray(getattr(field, k)).tobytes() for k in ("xs", "ts", "P", "v"))
+
+    for moc_dt in (0.05, 0.5):  # last the CLI default, whose dataset the runs below train on
+        field, grid, pipe = run_details(scenario, moc_dt)
+        sampled = sample(field, *export_grid(pipe.length, scenario.duration))
+        del field
+        meta = DatasetMeta(pipe=pipe, fluid=scenario.fluid, wave_speed=grid.wave_speed,
+                           offtake_x=None if scenario.offtake is None
+                           else scenario.offtake.position)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "desk.csv"
+            write_dataset(sampled, meta, path)
+            field_grid, read_meta = read_dataset(path)
+        print(f"desk moc_dt={moc_dt} sampled {_digest(field_bytes(sampled))} "
+              f"read-back {_digest(field_bytes(field_grid))}")
     data = TrainingData.from_dataset(field_grid, read_meta)
     xg, tg = np.meshgrid(field_grid.xs, field_grid.ts)
 
