@@ -46,10 +46,19 @@ def _resolve_output(ctx_obj, path) -> Path:
     return out
 
 
-def _parse_breaks(text):
+def _parse_breaks(ctx, param, text):
+    """`--segment-breaks` as floats; a non-number is a usage error naming it."""
     if not text:
         return None
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:  # its message names the token
+        raise click.BadParameter(str(exc)) from None
+
+
+segment_breaks_option = click.option(
+    "--segment-breaks", default=None, callback=_parse_breaks,
+    help="Comma-separated x positions [m] splitting the report.")
 
 
 @cli.command()
@@ -65,8 +74,8 @@ def _parse_breaks(text):
 def generate(obj, scenario_path, output, moc_dt, grid_dx, grid_dt):
     """Run the reference solver on SCENARIO_PATH and export a dataset CSV."""
     scenario = load_scenario(scenario_path)
+    xs, ts = export_grid(scenario.pipe.length, scenario.duration, grid_dx, grid_dt)
     field, grid, pipe = run_details(scenario, moc_dt)
-    xs, ts = export_grid(pipe.length, scenario.duration, grid_dx, grid_dt)
     sampled = sample(field, xs, ts)
     meta = DatasetMeta(
         pipe=pipe,
@@ -85,7 +94,7 @@ def generate(obj, scenario_path, output, moc_dt, grid_dx, grid_dt):
 @click.argument("config_path", type=click.Path())
 @click.argument("dataset_path", type=click.Path())
 @click.option("-o", "--output", required=True, help="Checkpoint path (.npz).")
-@click.option("--log-every", default=1000, show_default=True)
+@click.option("--log-every", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.pass_obj
 def train_cmd(obj, config_path, dataset_path, output, log_every):
     """Train a model from CONFIG_PATH on DATASET_PATH."""
@@ -106,8 +115,7 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
 
 def _report(obj, models, dataset_path, segment_breaks):
     field, meta = read_dataset(dataset_path)
-    report = compare_models(models, field, meta,
-                            segment_breaks=_parse_breaks(segment_breaks))
+    report = compare_models(models, field, meta, segment_breaks=segment_breaks)
     if obj.get("fmt") == "csv":
         click.echo(report.to_csv(), nl=False)
     else:
@@ -117,8 +125,7 @@ def _report(obj, models, dataset_path, segment_breaks):
 @cli.command("eval")
 @click.argument("checkpoint_path", type=click.Path())
 @click.argument("dataset_path", type=click.Path())
-@click.option("--segment-breaks", default=None,
-              help="Comma-separated x positions [m] splitting the report.")
+@segment_breaks_option
 @click.pass_obj
 def eval_cmd(obj, checkpoint_path, dataset_path, segment_breaks):
     """Print interior-point metrics for one checkpoint."""
@@ -129,8 +136,7 @@ def eval_cmd(obj, checkpoint_path, dataset_path, segment_breaks):
 
 @cli.command("compare")
 @click.argument("paths", nargs=-1, required=True)
-@click.option("--segment-breaks", default=None,
-              help="Comma-separated x positions [m] splitting the report.")
+@segment_breaks_option
 @click.pass_obj
 def compare_cmd(obj, paths, segment_breaks):
     """Compare checkpoints on a dataset: CKPT... DATASET."""

@@ -84,7 +84,7 @@ def _malformed_row(lines: list[str]) -> str:
     """The first data line (numbered from the header, line 1) that is not
     four comma-separated finite numbers, parsed as `read_dataset` parses it."""
     for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line:  # loadtxt skips empty lines, but not whitespace-only ones
             continue
         try:
             cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
@@ -92,7 +92,7 @@ def _malformed_row(lines: list[str]) -> str:
                 continue
         except ValueError:
             pass
-        return f"line {number} ({line.strip()!r})"
+        return f"line {number} ({line!r})"
     return "a data row"
 
 
@@ -121,6 +121,8 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
                           "is not four comma-separated finite numbers")
     xs = np.unique(rows[:, 0])
     nx = xs.size
+    if nx < 2:
+        raise ConfigError(f"{path} has one x position; a dataset needs at least 2")
     if rows.shape[0] % nx != 0:
         raise ConfigError(f"{path} is not a complete rectangular grid")
     nt = rows.shape[0] // nx

@@ -90,8 +90,8 @@ def build_grid(pipe: PipelineSpec, fluid: FluidSpec, dt: float) -> MocGrid:
     The wave speed is rescaled to dx/dt; if that moves it by more than 1%
     the requested dt is too coarse for this pipe and a GridError is raised.
     """
-    if dt <= 0:
-        raise GridError("dt must be strictly positive")
+    if not 0 < dt < np.inf:  # also rejects NaN
+        raise GridError(f"MOC dt must be finite and positive, got {dt!r}")
     a = wave_speed(fluid, pipe)
     node_count = int(round(pipe.length / (a * dt))) + 1
     if node_count < 3:
@@ -327,10 +327,17 @@ def sample(field: FieldGrid, xs_out, ts_out) -> FieldGrid:
 
 def export_grid(length: float, duration: float, dx: float = 1000.0,
                 dt: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset grid: evenly spaced columns/rows spanning the domain."""
-    nx = int(round(length / dx))
-    nt = int(round(duration / dt)) if duration > 0 else 0
-    return np.linspace(0.0, length, nx + 1), np.linspace(0.0, duration, nt + 1)
+    """The dataset grid: evenly spaced columns/rows spanning the domain. Each
+    step must be finite, positive and split its span into whole cells (to 1e-9
+    relative); anything else is a GridError naming the value."""
+    for name, step, span in (("dx", dx, length), ("dt", dt, duration)):
+        if not 0 < step < np.inf:  # also rejects NaN
+            raise GridError(f"export grid {name} must be finite and positive, got {step!r}")
+        if abs(span / step - round(span / step)) > 1e-9 * span / step:
+            raise GridError(f"export grid {name}={step!r} does not divide {span!r} "
+                            "into whole cells")
+    return (np.linspace(0.0, length, round(length / dx) + 1),
+            np.linspace(0.0, duration, round(duration / dt) + 1))
 
 
 def interior_column_indices(xs: np.ndarray, length: float,

@@ -35,7 +35,7 @@ from .errors import ConfigError, DomainError
 OUTPUT_MODES = ("pressure-velocity", "head-velocity")
 ACTIVATIONS = ("softplus", "identity")
 
-CHECKPOINT_FORMAT = "hydropinn-checkpoint/1"
+CHECKPOINT_FORMAT = "hydropinn-checkpoint/2"
 
 # params are a list of (weights, bias) per layer; gradients share the layout
 NetParams = list
@@ -356,18 +356,11 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
 
 def save_checkpoint(path, spec: NetSpec, params: NetParams,
                     label: str | None = None) -> None:
-    arrays = {}
-    for i, (w, b) in enumerate(params):
-        arrays[f"W{i}"] = w
-        arrays[f"b{i}"] = b
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "spec": spec.to_dict(),
-        "n_layers": len(params),
-        "label": label,
-    }
+    """The spec and label as JSON `meta`, and the params as one flat array
+    `theta`, laid out as `params_flatten` writes it."""
+    meta = {"format": CHECKPOINT_FORMAT, "spec": spec.to_dict(), "label": label}
     with open(path, "wb") as fh:
-        np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
+        np.savez(fh, meta=np.asarray(json.dumps(meta)), theta=params_flatten(params))
 
 
 def load_checkpoint(path):
@@ -388,29 +381,20 @@ def load_checkpoint(path):
         if fmt != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")
         meta = read_object(meta, "", {
-            "format": text, "spec": NetSpec.from_dict, "n_layers": count,
-            "label": optional(text),
-        }, ("spec", "n_layers"))
-        names = [f"{kind}{i}" for i in range(meta["n_layers"]) for kind in "Wb"]
-        for name in names:
-            if name not in data.files:
-                raise ConfigError(f"{path} has no array {name!r} "
-                                  f"(meta n_layers is {meta['n_layers']})")
-        arrays = []
-        for name in names:
-            try:
-                arr = data[name]
-            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                raise ConfigError(f"{path} array {name!r} is corrupt: {exc}") from exc
-            if arr.dtype.kind not in "iuf":
-                raise ConfigError(f"{path} array {name!r} has non-numeric dtype {arr.dtype}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{path} array {name!r} has non-finite values")
-            arrays.append(arr.astype(float))
+            "format": text, "spec": NetSpec.from_dict, "label": optional(text),
+        }, ("spec",))
+        if "theta" not in data.files:
+            raise ConfigError(f"{path} has no array 'theta'")
+        try:
+            theta = data["theta"]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path} array 'theta' is corrupt: {exc}") from exc
     spec = meta["spec"]
-    params = list(zip(arrays[::2], arrays[1::2]))
-    expected = [((n_in, n_out), (n_out,)) for n_in, n_out in spec.layer_dims]
-    got = [(w.shape, b.shape) for w, b in params]
-    if got != expected:
-        raise ConfigError(f"checkpoint (W, b) shapes {got} do not match spec {expected}")
-    return spec, params, meta.get("label")
+    size = sum(n_in * n_out + n_out for n_in, n_out in spec.layer_dims)
+    if theta.dtype.kind not in "iuf":
+        raise ConfigError(f"{path} array 'theta' has non-numeric dtype {theta.dtype}")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError(f"{path} array 'theta' has non-finite values")
+    if theta.shape != (size,):
+        raise ConfigError(f"{path} array 'theta' has shape {theta.shape}, spec needs {size}")
+    return spec, params_views(spec, theta.astype(float)), meta.get("label")

@@ -88,6 +88,21 @@ class TestGenerate:
         for part in ("outlet flowrate 0.0001 m^3/s", "Re 97.94", "64/Re = 0.6535"):
             assert part in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-dx", "0"), ("--grid-dt", "0"), ("--grid-dx", "-1000"), ("--grid-dt", "-1"),
+        ("--grid-dt", "nan"), ("--grid-dx", "inf"), ("--moc-dt", "nan"), ("--moc-dt", "0"),
+        ("--grid-dx", "300"), ("--grid-dt", "0.7"),
+    ])
+    def test_bad_grid_step_is_grid_error_naming_value(self, tiny_scenario_file, tmp_path,
+                                                      capsys, flag, value):
+        out = tmp_path / "out.csv"
+        code = main(["generate", str(tiny_scenario_file), "-o", str(out), "--moc-dt", "0.05",
+                     flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: grid:") and repr(float(value)) in err
+        assert not out.exists()
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "none.json"), "-o",
                      str(tmp_path / "out.csv")])
@@ -194,6 +209,24 @@ class TestTrainEvalCompare:
                      "--segment-breaks", "60000"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: config:")
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_non_numeric_segment_break_is_usage_error(self, checkpoint, tiny_dataset,
+                                                      capsys, command):
+        code = main([command, str(checkpoint), str(tiny_dataset),
+                     "--segment-breaks", "500,abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--segment-breaks" in err and "'abc'" in err
+
+    def test_negative_log_every_is_usage_error(self, tiny_train_config, tiny_dataset,
+                                               tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        code = main(["train", str(tiny_train_config), str(tiny_dataset), "-o", str(out),
+                     "--log-every", "-1"])
+        assert code == 2
+        assert "--log-every" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_missing_checkpoint(self, tiny_dataset, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "absent.npz"),

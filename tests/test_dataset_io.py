@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestDatasetCsv:
         path = self._write_lines(tmp_path, fluid, pipe, [])
         path.write_text(path.read_text() + body)
         with pytest.raises(ConfigError, match="no data rows"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("blank", ["   ", "\t"], ids=["spaces", "tab"])
+    def test_whitespace_line_between_rows_named(self, tmp_path, desk_dataset, blank):
+        path = tmp_path / "desk.csv"
+        write_dataset(*desk_dataset, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [blank] + lines[3:]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"desk.csv: line 4 ({blank!r})")):
+            read_dataset(path)
+
+    def test_single_x_column_is_config_error_naming_file(self, tmp_path, desk_dataset):
+        path = tmp_path / "desk.csv"
+        write_dataset(*desk_dataset, path)
+        header, *rows = path.read_text().splitlines()
+        first_x = rows[0].split(",")[0]
+        path.write_text("\n".join([header] + [r for r in rows
+                                              if r.split(",")[0] == first_x]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path} has one x position")):
             read_dataset(path)
 
     def test_crlf_copy_reads_back_bitwise_equal(self, tmp_path, rng, fluid, pipe):

@@ -172,6 +172,18 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.npz")
 
+    def test_loaded_params_are_views_into_one_buffer(self, tmp_path):
+        spec, path = NetSpec(hidden_layers=2, width=5), tmp_path / "model.npz"
+        params = init_params(spec, 1)
+        save_checkpoint(path, spec, params)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["meta", "theta"]
+            assert np.array_equal(data["theta"], params_flatten(params))
+        _, loaded, label = load_checkpoint(path)
+        assert label is None
+        theta = loaded[0][0].base
+        assert all(a.base is theta for layer in loaded for a in layer)
+
     def test_garbage_file(self, tmp_path):
         no_meta, text, array, empty, half, head = (
             tmp_path / f"{k}.npz" for k in ("junk", "notes", "array", "empty", "half", "head"))
@@ -188,11 +200,11 @@ class TestCheckpoint:
         for path in (no_meta, text, array, empty, half, head):
             with pytest.raises(ConfigError, match="is not a hydropinn checkpoint"):
                 load_checkpoint(path)
-        # one byte flipped inside W0's archive member fails its CRC check
+        # one byte flipped inside theta's archive member fails its CRC check
         flipped = bytearray(whole)
-        flipped[whole.index(b"W0.npy") + 200] ^= 0xFF
+        flipped[whole.index(b"theta.npy") + 200] ^= 0xFF
         half.write_bytes(bytes(flipped))
-        with pytest.raises(ConfigError, match="array 'W0' is corrupt"):
+        with pytest.raises(ConfigError, match="array 'theta' is corrupt"):
             load_checkpoint(half)
 
     @pytest.mark.parametrize("edit, message", [
@@ -200,10 +212,10 @@ class TestCheckpoint:
         (lambda meta: meta["spec"]["scaler"].pop("t_max"),
          "missing key 'spec.scaler.t_max'"),
         (lambda meta: meta["spec"].update(width="8"), "spec.width must be"),
-        (lambda meta: meta.update(n_layers=3), "has no array 'W2'"),
-        (lambda meta: meta.pop("n_layers"), "missing key 'n_layers'"),
-    ], ids=["no_scaler", "no_t_max", "text_width", "n_layers_past_arrays",
-            "no_n_layers"])
+        (lambda meta: meta.update(n_layers=2), "unknown key 'n_layers'"),
+        (lambda meta: meta.update(format="hydropinn-checkpoint/1"),
+         "unsupported checkpoint format 'hydropinn-checkpoint/1'"),
+    ], ids=["no_scaler", "no_t_max", "text_width", "n_layers_key", "format_1"])
     def test_malformed_meta_is_config_error(self, tmp_path, edit, message):
         path, spec = tmp_path / "model.npz", NetSpec(hidden_layers=1, width=4)
         save_checkpoint(path, spec, init_params(spec, 0))
@@ -212,14 +224,19 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda w: w.astype(str), "array 'W1' has non-numeric dtype <U"),
-        (lambda w: np.full_like(w, np.nan), "array 'W1' has non-finite values"),
-    ], ids=["text_W1", "nan_W1"])
+        (lambda theta: None, "has no array 'theta'"),
+        (lambda theta: theta.astype(str), "array 'theta' has non-numeric dtype <U"),
+        (lambda theta: np.where(np.arange(theta.size) == 5, np.nan, theta),
+         "array 'theta' has non-finite values"),
+        (lambda theta: theta[:-1], "array 'theta' has shape (21,), spec needs 22"),
+        (lambda theta: theta.reshape(2, 11), "array 'theta' has shape (2, 11), spec needs 22"),
+    ], ids=["no_theta", "text_theta", "nan_theta", "short_theta", "2d_theta"])
     def test_bad_array_is_config_error_naming_file_and_array(self, tmp_path, corrupt,
                                                              message):
         path, spec = tmp_path / "model.npz", NetSpec(hidden_layers=1, width=4)
-        params = init_params(spec, 0)
-        params[1] = (corrupt(params[1][0]), params[1][1])
-        save_checkpoint(path, spec, params)
+        save_checkpoint(path, spec, init_params(spec, 0))
+        with np.load(path) as data:
+            meta, theta = data["meta"], corrupt(data["theta"])
+        np.savez(path, meta=meta, **({} if theta is None else {"theta": theta}))
         with pytest.raises(ConfigError, match=re.escape(f"{path} {message}")):
             load_checkpoint(path)

@@ -15,6 +15,9 @@ its CSV read-back. It trains on the 0.5 s dataset and prints, per baseline:
 * the sha256 of the trained (W, b) arrays and of the trace (every
   `TraceRow`, `StageSummary` and warning) for kih 300/260/300 and for
   pinn and dnn at 300 iterations, each from its shipped config;
+* the sha256 of those (W, b) after a checkpoint round trip
+  (`save_checkpoint` then `load_checkpoint`), which must equal the
+  params line above it;
 * the sha256 of `net_forward` and of `forward_with_input_tangents` for
   those trained params over the desk grid (51 x 1201 = 61,251 points, so
   the forwards' last block has 323 rows), the eval path;
@@ -70,7 +73,8 @@ def main(argv) -> int:
     from hydropinn.adcheck import adcheck_from_config
     from hydropinn.dataset import DatasetMeta, read_dataset, write_dataset
     from hydropinn.moc import export_grid, run_details, sample
-    from hydropinn.network import forward_with_input_tangents, net_forward
+    from hydropinn.network import (forward_with_input_tangents, load_checkpoint, net_forward,
+                                   save_checkpoint)
     from hydropinn.scenario import load_scenario
     from hydropinn.training import TrainingData, load_train_config, train
 
@@ -79,6 +83,9 @@ def main(argv) -> int:
         return 1
 
     scenario = load_scenario(root / "configs" / "desk_scenario.json")
+
+    def params_bytes(params):
+        return (np.ascontiguousarray(a).tobytes() for layer in params for a in layer)
 
     def field_bytes(field):
         return (np.ascontiguousarray(getattr(field, k)).tobytes() for k in ("xs", "ts", "P", "v"))
@@ -102,8 +109,11 @@ def main(argv) -> int:
     for baseline, overrides in RUNS:
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
         spec, params, trace = train(replace(cfg, **overrides), data)
-        flat = (np.ascontiguousarray(a).tobytes() for layer in params for a in layer)
-        print(f"{baseline} params {_digest(flat)}")
+        print(f"{baseline} params {_digest(params_bytes(params))}")
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(Path(tmp) / "model.npz", spec, params, label=baseline)
+            _, loaded, _ = load_checkpoint(Path(tmp) / "model.npz")
+        print(f"{baseline} checkpoint round trip {_digest(params_bytes(loaded))}")
         print(f"{baseline} trace {_digest(_trace_bytes(trace))} "
               f"({len(trace.rows)} rows, {len(trace.warnings)} warnings)")
         for fn in (net_forward, forward_with_input_tangents):
@@ -125,8 +135,7 @@ def main(argv) -> int:
         report = adcheck_from_config(cfg, order=4, max_coordinates=50, coord_seed=7)
         print(f"{baseline} adcheck {report.max_rel_error!r} at {report.worst_coordinate}")
         (grad,) = grads
-        print(f"{baseline} adcheck gradient "
-              f"{_digest(np.ascontiguousarray(a).tobytes() for layer in grad for a in layer)}")
+        print(f"{baseline} adcheck gradient {_digest(params_bytes(grad))}")
     return 0
 
 
