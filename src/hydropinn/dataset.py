@@ -62,21 +62,25 @@ def meta_path(dataset_path) -> Path:
 
 
 def write_dataset(field: FieldGrid, meta: DatasetMeta, path) -> None:
-    """Write the CSV one time block at a time, then the sidecar.
+    """Write the CSV one time row at a time, then the sidecar.
 
-    The x strings are formatted once; each block's P/v values are formatted
-    from Python floats, so the file holds the same bytes as formatting every
-    cell with ``format(value, ".17g")``, without holding the whole file in
-    memory.
+    One ``%`` template per time row is built once from the x strings; each
+    row fills it with its t string and the P/v Python floats of that row's
+    ``.tolist()``. ``%.17g`` formats as ``format(value, ".17g")`` does, so
+    the file holds the same bytes as formatting every cell, without holding
+    the whole file or whole-field lists in memory.
     """
     path = Path(path)
-    xs = [f"{x:.17g}," for x in field.xs.tolist()]
+    nx = field.xs.size
+    row = "".join(f"{x:.17g},%s,%.17g,%.17g\n" for x in field.xs.tolist())
+    cells = [None] * (3 * nx)  # (t, P, v) per x, the template's order
     with path.open("w") as out:
         out.write(CSV_HEADER + "\n")
         for t, P_row, v_row in zip(field.ts.tolist(), field.P, field.v):
-            ts = f"{t:.17g},"
-            out.write("".join([f"{x}{ts}{p:.17g},{v:.17g}\n"
-                               for x, p, v in zip(xs, P_row.tolist(), v_row.tolist())]))
+            cells[0::3] = [f"{t:.17g}"] * nx
+            cells[1::3] = P_row.tolist()
+            cells[2::3] = v_row.tolist()
+            out.write(row % tuple(cells))
     meta_path(path).write_text(json.dumps(meta.to_dict(), indent=2) + "\n")
 
 

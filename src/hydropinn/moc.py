@@ -14,9 +14,12 @@ the flowrate signal and head from C+.
 
 One kernel, `_step_into`, computes a step without allocating: B*V and
 B*R*V|V| are formed once and shared by both families of feet, and the new
-state is written into caller-owned rows. `run_details` steps it straight
-into the rows of its output arrays and checks finiteness over blocks of
-CHECK_ROWS rows; `moc_step` runs it once into fresh arrays.
+state is written into caller-owned rows. Its scratch rows, their shifted
+views and its ufunc operands are a `_workspace` built once per run.
+`run_details` steps it straight into the rows of its output arrays, in
+blocks of CHECK_ROWS rows; after each block it checks the block's
+finiteness and converts its finished head rows to pressure while they are
+in cache. `moc_step` runs the kernel once into fresh arrays.
 """
 
 from __future__ import annotations
@@ -109,23 +112,38 @@ def build_grid(pipe: PipelineSpec, fluid: FluidSpec, dt: float) -> MocGrid:
     return MocGrid(dt=dt, dx=dx, node_count=node_count, wave_speed=a_grid)
 
 
-# rows of the output arrays whose finiteness `run_details` checks at once
+# rows of the output arrays that `run_details` steps, checks and converts at once
 CHECK_ROWS = 64
 
 
-def _step_into(H, V, Hn, Vn, scratch, inlet_head, outlet_velocity, B, BR,
+def _workspace(node_count: int, B: float, BR: float) -> tuple:
+    """What `_step_into` reuses every step of a run.
+
+    The four scratch rows; the shifted views cp[:-2] and cm[2:] of the C+
+    and C- feet that the interior nodes read; B, BR, 0.5 and 2B as 0-d
+    arrays, which the ufuncs take without converting a Python float on each
+    call; and B and BR as Python floats for the boundary and offtake
+    arithmetic on numpy scalars.
+    """
+    bv, fr, cp, cm = np.empty((4, node_count))
+    return (bv, fr, cp, cm, cp[:-2], cm[2:], np.array(B), np.array(BR),
+            np.array(0.5), np.array(2.0 * B), B, BR)
+
+
+def _step_into(H, V, Hn, Vn, ws, inlet_head, outlet_velocity,
                offtake_index, offtake_velocity) -> None:
     """Write the step after head H / velocity V into Hn / Vn, allocating nothing.
 
-    `scratch` is four arrays the size of H; BR is B*R. B*V and (B*R*V)*|V|
-    are formed once over all nodes and shared by the C+ feet (nodes
-    0..n-2) and the C- feet (nodes 1..n-1). Overflow warnings are left to
-    the caller's errstate.
+    `ws` is the run's `_workspace`, with BR = B*R. B*V and (B*R*V)*|V| are
+    formed once over all nodes and shared by the C+ feet (nodes 0..n-2) and
+    the C- feet (nodes 1..n-1). The 12 ufunc calls create no scratch view
+    and convert no scalar. Overflow warnings are left to the caller's
+    errstate.
     """
-    bv, fr, cp, cm = scratch
-    np.multiply(V, B, out=bv)
+    bv, fr, cp, cm, cp_feet, cm_feet, b, br, half, two_b, B, BR = ws
+    np.multiply(V, b, out=bv)
     np.abs(V, out=cp)
-    np.multiply(V, BR, out=fr)
+    np.multiply(V, br, out=fr)
     np.multiply(fr, cp, out=fr)
     np.add(H, bv, out=cp)
     np.subtract(cp, fr, out=cp)  # cp[i]: C+ foot at node i
@@ -137,11 +155,11 @@ def _step_into(H, V, Hn, Vn, scratch, inlet_head, outlet_velocity, B, BR,
         vd = V[k] - offtake_velocity
         cp[k] = (H[k] + B * vd) - BR * vd * abs(vd)
     inner = Hn[1:-1]
-    np.add(cp[:-2], cm[2:], out=inner)
-    np.multiply(inner, 0.5, out=inner)
+    np.add(cp_feet, cm_feet, out=inner)
+    np.multiply(inner, half, out=inner)
     inner = Vn[1:-1]
-    np.subtract(cp[:-2], cm[2:], out=inner)
-    np.divide(inner, 2.0 * B, out=inner)
+    np.subtract(cp_feet, cm_feet, out=inner)
+    np.divide(inner, two_b, out=inner)
     Hn[0] = inlet_head
     Vn[0] = (inlet_head - cm[1]) / B
     Vn[-1] = outlet_velocity
@@ -173,8 +191,8 @@ def moc_step(
     Hn = np.empty_like(H)
     Vn = np.empty_like(V)
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_into(H, V, Hn, Vn, np.empty((4, H.size)), inlet_head, outlet_velocity,
-                   B, B * R, offtake_index, offtake_velocity)
+        _step_into(H, V, Hn, Vn, _workspace(H.size, B, B * R), inlet_head,
+                   outlet_velocity, offtake_index, offtake_velocity)
     if not (np.all(np.isfinite(Hn)) and np.all(np.isfinite(Vn))):
         raise NumericalBlowupError("non-finite head or velocity after MOC step")
     return Hn, Vn
@@ -191,7 +209,15 @@ def run(scenario: Scenario, dt: float = 0.5) -> FieldGrid:
 
 
 def _check_rows(H_out, V_out, j0: int, j1: int, ts) -> None:
-    """Raise at the first step among rows j0..j1-1 with a non-finite value."""
+    """Raise at the first step among rows j0..j1-1 with a non-finite value.
+
+    Any non-finite value makes its rows' sum non-finite, so one sum over the
+    head rows and one over the velocity rows clear a finite block. Only a
+    non-finite sum runs the exact per-row search, which alone decides: a
+    finite block whose sum overflows raises nothing.
+    """
+    if np.isfinite(H_out[j0:j1].sum()) and np.isfinite(V_out[j0:j1].sum()):
+        return
     bad = ~(np.isfinite(H_out[j0:j1]).all(axis=1) & np.isfinite(V_out[j0:j1]).all(axis=1))
     if bad.any():
         j = j0 + int(np.argmax(bad))
@@ -202,10 +228,19 @@ def _check_rows(H_out, V_out, j0: int, j1: int, ts) -> None:
 def run_details(scenario: Scenario, dt: float = 0.5):
     """Like `run`, but also returns the MocGrid and the frozen-friction pipe.
 
-    Each step is written in place into its row of the output arrays. P holds
-    head until the last step and is then converted to pressure in place.
-    Finiteness is checked every CHECK_ROWS rows and reported at the first
-    non-finite step, as a check after every step would report it.
+    Each step is written in place into its row of the output arrays, with
+    one workspace for the run. Stepping goes in blocks of CHECK_ROWS rows,
+    and after each block, while its rows are still in cache:
+
+    1. `_check_rows` checks its finiteness, screening it with one sum over
+       its head rows and one over its velocity rows, and reports the first
+       non-finite step, as a check after every step would report it;
+    2. the head rows the block finished are converted to pressure in place.
+       The last row stays in head as the next step's input.
+
+    The final row is converted after the loop, and row 0 is then set to the
+    steady profile's pressure. The boundary values are evaluated once and
+    handed to the loop a block at a time.
     """
     pipe, fluid = scenario.pipe, scenario.fluid
     grid = build_grid(pipe, fluid, dt)
@@ -248,23 +283,26 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     P_out[0] = pressure_to_head(profile.pressure, fluid.density, pipe.gravity)
     v_out[0] = profile.velocity
 
-    # boundary signals at every step, evaluated once
-    inlet_heads = pressure_to_head(scenario.inlet_pressure(ts), fluid.density,
-                                   pipe.gravity).tolist()
-    outlet_vs = flowrate_to_velocity(scenario.outlet_flowrate(ts), pipe.diameter).tolist()
-    off_vs = ((offtake_signal(ts) / area).tolist() if offtake_signal is not None
-              else [0.0] * ts.size)
-    scratch = np.empty((4, grid.node_count))
-    BR = B * R
+    # boundary signals at every step, evaluated once and handed out a block at a time
+    inlet_heads = pressure_to_head(scenario.inlet_pressure(ts), fluid.density, pipe.gravity)
+    outlet_vs = flowrate_to_velocity(scenario.outlet_flowrate(ts), pipe.diameter)
+    off_vs = offtake_signal(ts) / area if offtake_signal is not None else np.zeros(ts.size)
+    ws = _workspace(grid.node_count, B, B * R)
+    to_pressure = np.array(fluid.density * pipe.gravity / 1e6)  # head_to_pressure's factor
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(1, n_steps + 1, CHECK_ROWS):
             j1 = min(j0 + CHECK_ROWS, n_steps + 1)
-            for j in range(j0, j1):
-                _step_into(P_out[j - 1], v_out[j - 1], P_out[j], v_out[j], scratch,
-                           inlet_heads[j], outlet_vs[j], B, BR, offtake_index, off_vs[j])
+            for j, inlet_head, outlet_v, off_v in zip(
+                    range(j0, j1), inlet_heads[j0:j1].tolist(), outlet_vs[j0:j1].tolist(),
+                    off_vs[j0:j1].tolist()):
+                _step_into(P_out[j - 1], v_out[j - 1], P_out[j], v_out[j], ws,
+                           inlet_head, outlet_v, offtake_index, off_v)
             _check_rows(P_out, v_out, j0, j1, ts)
-    # head_to_pressure's arithmetic, in place
-    np.multiply(P_out, fluid.density * pipe.gravity / 1e6, out=P_out)
+            # the rows this block finished, while cache-hot; row j1-1 is the
+            # next step's input and stays in head
+            done = P_out[j0 - 1:j1 - 1]
+            np.multiply(done, to_pressure, out=done)
+    np.multiply(P_out[-1], to_pressure, out=P_out[-1])
     P_out[0] = profile.pressure
 
     return FieldGrid(xs=xs, ts=ts, P=P_out, v=v_out), grid, pipe

@@ -107,15 +107,19 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d, path: str = "spec") -> "NetSpec":
-        """Spec from its `to_dict` object; a missing or malformed key is a
-        config error naming its path."""
+        """Spec from its `to_dict` object; a missing or malformed key, or
+        values the spec or its scaler rejects, is a config error naming its
+        path."""
         bounds = ("x_min", "x_max", "t_min", "t_max")
         v = read_object(d, path, {
             "hidden_layers": count, "width": count, "activation": text,
             "output_mode": text,
             "scaler": nested(dict.fromkeys(bounds, number), bounds),
         }, ("hidden_layers", "width", "activation", "output_mode", "scaler"))
-        return cls(**{**v, "scaler": InputScaler(**v["scaler"])})
+        try:
+            return cls(**{**v, "scaler": InputScaler(**v["scaler"])})
+        except (DomainError, ConfigError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 SOFTPLUS_INIT_GAIN = 1.2
@@ -379,10 +383,13 @@ def load_checkpoint(path):
             raise ConfigError(f"{path} is not a hydropinn checkpoint") from exc
         fmt = meta.get("format") if isinstance(meta, dict) else None
         if fmt != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {fmt!r}")
-        meta = read_object(meta, "", {
-            "format": text, "spec": NetSpec.from_dict, "label": optional(text),
-        }, ("spec",))
+            raise ConfigError(f"{path}: unsupported checkpoint format {fmt!r}")
+        try:
+            meta = read_object(meta, "", {
+                "format": text, "spec": NetSpec.from_dict, "label": optional(text),
+            }, ("spec",))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if "theta" not in data.files:
             raise ConfigError(f"{path} has no array 'theta'")
         try:

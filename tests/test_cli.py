@@ -244,7 +244,22 @@ class TestTrainEvalCompare:
         code = main(["eval", str(bad), str(tiny_dataset)])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: config: missing key 'spec.scaler'")
+            f"error: config: {bad}: missing key 'spec.scaler'")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["spec"].update(hidden_layers=0),
+         "spec: need at least one hidden layer"),
+        (lambda meta: meta["spec"].update(activation="relu"),
+         "spec: unknown activation 'relu'"),
+    ], ids=["no_hidden_layers", "relu"])
+    def test_checkpoint_spec_rejected_by_its_constructor_is_config_error(
+            self, checkpoint, tiny_dataset, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.npz"
+        shutil.copy(checkpoint, bad)
+        write_checkpoint_meta(bad, edit)
+        code = main(["eval", str(bad), str(tiny_dataset)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config: {bad}: {message}")
 
     def test_missing_dataset(self, checkpoint, tmp_path, capsys):
         code = main(["eval", str(checkpoint), str(tmp_path / "no.csv")])

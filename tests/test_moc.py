@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hydropinn.errors import DomainError, GridError
+from hydropinn.errors import DomainError, GridError, NumericalBlowupError
 from hydropinn.hydraulics import (
     PipelineSpec,
     flowrate_to_velocity,
@@ -15,8 +15,10 @@ from hydropinn.hydraulics import (
     wave_speed,
 )
 from hydropinn.moc import (
+    CHECK_ROWS,
     FieldGrid,
     _axis_weights,
+    _check_rows,
     build_grid,
     export_grid,
     interior_column_indices,
@@ -107,10 +109,11 @@ class TestRun:
         sc = Scenario(pipe=pipe, fluid=fluid, duration=0.0,
                       inlet_pressure=PiecewiseSignal.constant(1.48),
                       outlet_flowrate=PiecewiseSignal.constant(Q_START))
-        field = run(sc, 0.5)
+        field, _, frozen = run_details(sc, 0.5)
         assert field.ts.size == 1
-        prof = steady_profile(pipe, fluid, 1.48, Q_START, positions=field.xs)
-        assert np.allclose(field.P[0], prof.pressure, rtol=1e-12)
+        prof = steady_profile(frozen, fluid, 1.48, Q_START, positions=field.xs)
+        assert field.P[0].tobytes() == prof.pressure.tobytes()
+        assert field.v[0].tobytes() == np.full(field.xs.size, prof.velocity).tobytes()
 
     def test_constant_boundaries_stay_steady(self, fluid, pipe):
         sc = Scenario(pipe=pipe, fluid=fluid, duration=600.0,
@@ -169,23 +172,49 @@ class TestRun:
         assert field.v[-1, -1] == pytest.approx(Q_START / area, rel=1e-6)
 
     def test_blowup_reports_step(self, fluid, pipe):
-        from hydropinn.errors import NumericalBlowupError
-
         # unphysical flow demand (v ~ 200 m/s) makes the explicit friction
-        # term diverge within a few steps
-        sc = Scenario(pipe=pipe, fluid=fluid, duration=100.0,
-                      inlet_pressure=PiecewiseSignal.constant(5.0),
-                      outlet_flowrate=PiecewiseSignal.from_breakpoints(
-                          [[0.0, Q_START], [1.0, 10.0]]))
-        with pytest.raises(NumericalBlowupError) as exc_info:
-            run(sc, 0.5)
-        # the first step whose head or velocity is non-finite
-        assert exc_info.value.step == 13
-        assert "(step 13, t=6.500 s)" in str(exc_info.value)
+        # term diverge within a few steps of the jump: at t = 0 in the first
+        # block of CHECK_ROWS steps, at t = 40 s in the second
+        for breakpoints, step in (([[0.0, Q_START], [1.0, 10.0]], 13),
+                                  ([[0.0, Q_START], [40.0, Q_START], [41.0, 10.0]], 93)):
+            sc = Scenario(pipe=pipe, fluid=fluid, duration=100.0,
+                          inlet_pressure=PiecewiseSignal.constant(5.0),
+                          outlet_flowrate=PiecewiseSignal.from_breakpoints(breakpoints))
+            with pytest.raises(NumericalBlowupError) as exc_info:
+                run(sc, 0.5)
+            assert exc_info.value.step == step
+            assert f"(step {step}, t={step * 0.5:.3f} s)" in str(exc_info.value)
+            # the first step that a loop of moc_step makes non-finite
+            start, grid, frozen = run_details(replace(sc, duration=0.0), 0.5)
+            ts = np.arange(201) * 0.5
+            inlet = pressure_to_head(sc.inlet_pressure(ts), fluid.density, frozen.gravity)
+            outlet = flowrate_to_velocity(sc.outlet_flowrate(ts), frozen.diameter)
+            H = pressure_to_head(start.P[0], fluid.density, frozen.gravity)
+            V = start.v[0]
+            B = grid.wave_speed / frozen.gravity
+            R = frozen.friction_factor * 0.5 / (2.0 * frozen.diameter)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(1, step):
+                    H, V = moc_step(H, V, inlet[j], outlet[j], B, R)
+                with pytest.raises(NumericalBlowupError):
+                    moc_step(H, V, inlet[step], outlet[step], B, R)
+        assert step > CHECK_ROWS  # the last scenario's step lies past the first block
+
+    def test_check_rows_screens_by_sum_and_searches_exactly(self):
+        ts = np.arange(65) * 0.5
+        big = np.full((65, 10), 1e308)  # finite, but its sum overflows
+        zero = np.zeros((65, 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_rows(big, zero, 1, 65, ts)
+            _check_rows(zero, big, 1, 65, ts)
+            for nan_in in (0, 1):  # head, velocity
+                rows = [zero.copy(), zero.copy()]
+                rows[nan_in][40, 3] = np.nan
+                with pytest.raises(NumericalBlowupError, match=r"\(step 40, t=20\.000 s\)"):
+                    _check_rows(*rows, 1, 65, ts)
+                _check_rows(*rows, 41, 65, ts)  # the rows after it are finite
 
     def test_nan_state_rejected_by_step(self, fluid, pipe):
-        from hydropinn.errors import NumericalBlowupError
-
         grid = build_grid(pipe, fluid, 0.5)
         H = np.full(grid.node_count, np.nan)
         V = np.zeros(grid.node_count)
@@ -204,23 +233,29 @@ def drawing_offtake_scenario(pipe, fluid):
 
 class TestDrawingOfftake:
     def test_run_rows_equal_a_loop_of_moc_step(self, fluid, pipe):
-        sc = drawing_offtake_scenario(pipe, fluid)
-        field, grid, frozen = run_details(sc, 0.5)
-        ts = field.ts
-        B = grid.wave_speed / frozen.gravity
-        R = frozen.friction_factor * 0.5 / (2.0 * frozen.diameter)
-        k = int(round(25_000.0 / grid.dx))
-        inlet = pressure_to_head(sc.inlet_pressure(ts), fluid.density, frozen.gravity)
-        outlet = flowrate_to_velocity(sc.outlet_flowrate(ts), frozen.diameter)
-        off = sc.offtake.flowrate(ts) / frozen.area
-        assert off[-1] > 0.0
-        H = pressure_to_head(field.P[0], fluid.density, frozen.gravity)
-        V = field.v[0]
-        for j in range(1, ts.size):
-            H, V = moc_step(H, V, inlet[j], outlet[j], B, R, k, off[j])
-            P = head_to_pressure(H, fluid.density, frozen.gravity)
-            assert P.tobytes() == field.P[j].tobytes(), j
-            assert V.tobytes() == field.v[j].tobytes(), j
+        # step counts on both sides of the CHECK_ROWS block boundaries; at dt
+        # 0.05 the offtake draws (from 100 s) inside the partial last block
+        assert 2200 % CHECK_ROWS != 0
+        for steps, dt in ((1200, 0.5), (1, 0.5), (63, 0.5), (64, 0.5), (65, 0.5),
+                          (129, 0.5), (2200, 0.05)):
+            sc = replace(drawing_offtake_scenario(pipe, fluid), duration=steps * dt)
+            field, grid, frozen = run_details(sc, dt)
+            ts = field.ts
+            assert ts.size == steps + 1
+            B = grid.wave_speed / frozen.gravity
+            R = frozen.friction_factor * dt / (2.0 * frozen.diameter)
+            k = int(round(25_000.0 / grid.dx))
+            inlet = pressure_to_head(sc.inlet_pressure(ts), fluid.density, frozen.gravity)
+            outlet = flowrate_to_velocity(sc.outlet_flowrate(ts), frozen.diameter)
+            off = sc.offtake.flowrate(ts) / frozen.area
+            assert (off[-1] > 0.0) == (ts[-1] > 100.0)
+            H = pressure_to_head(field.P[0], fluid.density, frozen.gravity)
+            V = field.v[0]
+            for j in range(1, ts.size):
+                H, V = moc_step(H, V, inlet[j], outlet[j], B, R, k, off[j])
+                P = head_to_pressure(H, fluid.density, frozen.gravity)
+                assert P.tobytes() == field.P[j].tobytes(), (steps, dt, j)
+                assert V.tobytes() == field.v[j].tobytes(), (steps, dt, j)
 
     def test_mass_balance(self, fluid, pipe):
         """Line-pack change (gA/a^2) * integral of H dx equals the cumulative

@@ -215,12 +215,19 @@ class TestCheckpoint:
         (lambda meta: meta.update(n_layers=2), "unknown key 'n_layers'"),
         (lambda meta: meta.update(format="hydropinn-checkpoint/1"),
          "unsupported checkpoint format 'hydropinn-checkpoint/1'"),
-    ], ids=["no_scaler", "no_t_max", "text_width", "n_layers_key", "format_1"])
+        (lambda meta: meta["spec"].update(hidden_layers=0),
+         "spec: need at least one hidden layer of width >= 1"),
+        (lambda meta: meta["spec"]["scaler"].update(x_max=meta["spec"]["scaler"]["x_min"]),
+         "spec: input scaler requires min < max on both axes"),
+        (lambda meta: meta["spec"].update(activation="relu"),
+         "spec: unknown activation 'relu'"),
+    ], ids=["no_scaler", "no_t_max", "text_width", "n_layers_key", "format_1",
+            "no_hidden_layers", "flat_scaler", "relu"])
     def test_malformed_meta_is_config_error(self, tmp_path, edit, message):
         path, spec = tmp_path / "model.npz", NetSpec(hidden_layers=1, width=4)
         save_checkpoint(path, spec, init_params(spec, 0))
         write_checkpoint_meta(path, edit)
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: ')}.*{re.escape(message)}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt, message", [

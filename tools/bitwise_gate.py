@@ -10,7 +10,10 @@ generates the desk dataset (`configs/desk_scenario.json` on the export
 grid, written and read back as CSV) at two MOC steps. At the CLI's default
 0.5 s every t weight snaps to a node; at 0.05 s ten source steps fall in
 each export step. For both it prints the sha256 of the sampled field and of
-its CSV read-back. It trains on the 0.5 s dataset and prints, per baseline:
+its CSV read-back. At 0.05 s it also prints the sha256 of the raw
+`run_details` P and v, for the desk scenario and for the desk scenario with
+its offtake drawing 0 -> 0.01 m^3/s over 100-160 s, which runs the kernel's
+offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
 
 * the sha256 of the trained (W, b) arrays and of the trace (every
   `TraceRow`, `StageSummary` and warning) for kih 300/260/300 and for
@@ -75,7 +78,7 @@ def main(argv) -> int:
     from hydropinn.moc import export_grid, run_details, sample
     from hydropinn.network import (forward_with_input_tangents, load_checkpoint, net_forward,
                                    save_checkpoint)
-    from hydropinn.scenario import load_scenario
+    from hydropinn.scenario import Offtake, PiecewiseSignal, load_scenario
     from hydropinn.training import TrainingData, load_train_config, train
 
     if not Path(hydropinn.__file__).resolve().is_relative_to(root):
@@ -90,8 +93,19 @@ def main(argv) -> int:
     def field_bytes(field):
         return (np.ascontiguousarray(getattr(field, k)).tobytes() for k in ("xs", "ts", "P", "v"))
 
+    def raw_bytes(field):
+        return (np.ascontiguousarray(getattr(field, k)).tobytes() for k in ("P", "v"))
+
+    drawing = replace(scenario, offtake=Offtake(
+        position=scenario.offtake.position,
+        flowrate=PiecewiseSignal.from_breakpoints([[0.0, 0.0], [100.0, 0.0], [160.0, 0.01]])))
+    field = run_details(drawing, 0.05)[0]
+    print(f"drawing-offtake moc_dt=0.05 raw P,v {_digest(raw_bytes(field))}")
+    del field
     for moc_dt in (0.05, 0.5):  # last the CLI default, whose dataset the runs below train on
         field, grid, pipe = run_details(scenario, moc_dt)
+        if moc_dt == 0.05:
+            print(f"desk moc_dt=0.05 raw P,v {_digest(raw_bytes(field))}")
         sampled = sample(field, *export_grid(pipe.length, scenario.duration))
         del field
         meta = DatasetMeta(pipe=pipe, fluid=scenario.fluid, wave_speed=grid.wave_speed,
