@@ -11,12 +11,18 @@ problem's points, summed by `training._weighted_sum` with the stage's
 `training._objective`. The probe evaluates each term independently, with
 the tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
 through `residuals`); only the final weighted sum is shared.
+
+A probe changes one parameter, so the layers before it give the same rows
+on every probe. Before probing, `run_adcheck` builds a `ForwardCache` of the
+data points (bc then ic) and one of the collocation points under the
+unperturbed parameters; each probe's forwards resume from them at the
+perturbed layer, with the same arithmetic as a full forward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +32,8 @@ from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec, flowrate_to_velocity, friction_factor, wave_speed
 from .losses import (CollocationSet, PhysicsCoefficients, _mean_sq,
                      _observed_first_channel, data_misfit)
-from .network import InputScaler, NetSpec, init_params, params_flatten, params_views
+from .network import (ForwardCache, InputScaler, NetSpec, forward_cache, init_params,
+                      params_flatten, params_views)
 from .training import (TERM_FAMILY, _batch_terms, _family, _make_spec, _objective,
                        _schedule, _weighted_sum)
 
@@ -53,6 +60,9 @@ class AdCheckProblem:
     coeffs: PhysicsCoefficients
     objective: dict  # {term: weight}, as `training._objective` builds it
     form: str
+    # the probe's forward caches (`run_adcheck`); None evaluates in full
+    data_cache: ForwardCache | None = None
+    colloc_cache: ForwardCache | None = None
 
 
 def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
@@ -92,17 +102,27 @@ def taped_coupled_gradient(problem: AdCheckProblem):
     return params_views(p.spec, grad)
 
 
+def _data_points(colloc: CollocationSet):
+    """The bc then ic points, which the probe runs as one forward."""
+    return (np.concatenate([colloc.x_bc, colloc.x_ic]),
+            np.concatenate([colloc.t_bc, colloc.t_ic]))
+
+
+def _has_physics(objective) -> bool:
+    return "con" in objective or "mo" in objective
+
+
 def fast_coupled_loss(problem: AdCheckProblem) -> float:
     """The problem's objective evaluated tape-free, with the two data-family
     forward passes fused into one call (the fd probe runs this tens of
-    thousands of times)."""
+    thousands of times), each forward resuming from the problem's cache
+    when it has one."""
     # imported per call, so a wrapper on the defining module sees these calls
     from .losses import residuals
     from .network import net_forward
 
     p, c = problem, problem.colloc
-    y1, v = net_forward(p.spec, p.params, np.concatenate([c.x_bc, c.x_ic]),
-                        np.concatenate([c.t_bc, c.t_ic]))
+    y1, v = net_forward(p.spec, p.params, *_data_points(c), cache=p.data_cache)
     nb = c.n_bc
     terms = {}
     for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None))):
@@ -110,8 +130,9 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
         terms[family] = data_misfit(y1[rows], v[rows],
                                     _observed_first_channel(P, p.spec, p.coeffs),
                                     v_obs, p.form)
-    if "con" in p.objective or "mo" in p.objective:
-        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f)
+    if _has_physics(p.objective):
+        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f,
+                                cache=p.colloc_cache)
         terms["con"], terms["mo"] = _mean_sq(g_con), _mean_sq(g_mo)
     return _weighted_sum(p.objective, terms)
 
@@ -120,9 +141,17 @@ def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
                 tolerance: float = 1e-5, order: int = 2,
                 max_coordinates: int | None = None,
                 coord_seed: int = 0) -> FdReport:
+    """fd_check of the taped gradient against the probe, whose forwards
+    resume from caches built here under the unperturbed parameters."""
     grad = taped_coupled_gradient(problem)
+    p, c = problem, problem.colloc
+    colloc_cache = (forward_cache(p.spec, p.params, c.x_f, c.t_f, tangents=True)
+                    if _has_physics(p.objective) else None)
+    probed = replace(p, colloc_cache=colloc_cache,
+                     data_cache=forward_cache(p.spec, p.params, *_data_points(c),
+                                              tangents=False))
     return fd_check(
-        lambda: fast_coupled_loss(problem), grad, problem.params, h=h,
+        lambda: fast_coupled_loss(probed), grad, problem.params, h=h,
         tolerance=tolerance, order=order,
         max_coordinates=max_coordinates,
         rng=np.random.default_rng(coord_seed),

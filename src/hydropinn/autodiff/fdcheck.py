@@ -35,13 +35,15 @@ class FdReport:
         )
 
 
-def _coordinate_list(params) -> list[tuple[int, int, int]]:
-    """(layer, array-in-layer, flat offset) for every scalar parameter."""
-    coords = []
-    for li, layer in enumerate(params):
-        for ai, arr in enumerate(layer):
-            coords.extend((li, ai, k) for k in range(arr.size))
-    return coords
+def _coordinates(params, flat):
+    """(layer, array-in-layer, offset) of each flat index into `params`, the
+    parameters laid out layer after layer, each layer's arrays in order."""
+    arrays = [(li, ai, arr.size) for li, layer in enumerate(params)
+              for ai, arr in enumerate(layer)]
+    ends = np.cumsum([size for _, _, size in arrays])
+    for i, j in zip(flat.tolist(), np.searchsorted(ends, flat, side="right").tolist()):
+        li, ai, size = arrays[j]
+        yield li, ai, i - (int(ends[j]) - size)
 
 
 def fd_check(
@@ -59,19 +61,24 @@ def fd_check(
 
     loss_fn is nullary and reads the (temporarily perturbed) `params`
     arrays; `grad` is structured like `params`. With `max_coordinates`
-    set, a deterministic subsample is drawn from `rng`.
+    set, a deterministic subsample is drawn from `rng`: sorted flat indices
+    into the parameters laid out layer after layer, (W, b) in each, which
+    are probed in that order and named `layer <li> W[<k>]` or `b[<k>]` by
+    their offset k in the array.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     start = time.perf_counter()
-    coords = _coordinate_list(params)
-    if max_coordinates is not None and max_coordinates < len(coords):
+    total = sum(arr.size for layer in params for arr in layer)
+    if max_coordinates is not None and max_coordinates < total:
         if rng is None:
             rng = np.random.default_rng(0)
-        pick = rng.choice(len(coords), size=max_coordinates, replace=False)
-        coords = [coords[i] for i in np.sort(pick)]
+        flat = np.sort(rng.choice(total, size=max_coordinates, replace=False))
+    else:
+        flat = np.arange(total)
+    coords = list(_coordinates(params, flat))
 
     # over finite entries only: an inf would lift the floor and hide every error
     gmax = max(

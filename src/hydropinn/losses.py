@@ -25,7 +25,7 @@ from .autodiff.tape import Var
 from .errors import ConfigError, DomainError
 from .hydraulics import FluidSpec, PipelineSpec
 from .moc import FieldGrid, interior_column_indices
-from .network import NetSpec, forward_with_input_tangents, taped_forward
+from .network import ForwardCache, NetSpec, forward_with_input_tangents, taped_forward
 from .network import net_forward  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 BC_LOSS_FORMS = ("paper", "split")
@@ -218,9 +218,12 @@ def _residual_pair(spec: NetSpec, coeffs: PhysicsCoefficients, forward):
             continuity_residual_hv(y1t, y1x, v, vx, coeffs))
 
 
-def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t):
-    """(G_mo, G_con) arrays at the given points (tape-free)."""
-    return _residual_pair(spec, coeffs, forward_with_input_tangents(spec, params, x, t))
+def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t,
+              cache: ForwardCache | None = None):
+    """(G_mo, G_con) arrays at the given points (tape-free); `cache` is
+    handed to `forward_with_input_tangents`."""
+    return _residual_pair(spec, coeffs,
+                          forward_with_input_tangents(spec, params, x, t, cache=cache))
 
 
 # --- taped API (for training) -------------------------------------------------

@@ -17,6 +17,12 @@ evaluation, eval-set objectives and the adcheck probe. `taped_forward`
 hands in fresh per-layer arrays, which it keeps for the reverse, and
 records the whole forward as one tape node whose only parent is the leaf
 over the flat parameter buffer, for training gradients.
+
+A `ForwardCache` (`forward_cache`) keeps every layer's input rows over
+fixed points and the bytes of the (W, b) that made them; handed to the
+tape-free forward, it lets each block start at the first layer whose
+parameters changed, as the adcheck probe's one-parameter perturbations
+allow.
 """
 
 from __future__ import annotations
@@ -209,24 +215,34 @@ def _softplus_inplace(v, e, tmp, mask=None) -> None:
         np.divide(e, tmp, out=e)
 
 
-def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
-            mask=None) -> None:
-    """Run the layers over the stacked rows `a`, layer li writing its rows
-    into zs[li] (the last is the network output) and, through softplus,
-    the sigmoid (given `mask`) or else exp(-|z|) into ss[li].
-
-    a[:m] holds the m normalized points. When `a` has 3m rows, a[m:] is
-    filled with the constant input-tangent rows (dx_factor, 0) and
-    (0, dt_factor), which make the matmul's tangent rows the physical d/dx
-    and d/dt; softplus then needs `mask`. Each layer is one matmul of all
-    rows, with the bias added to the value rows only; softplus scales the
-    tangent rows by the sigmoid. ss and tmp are (m, width), mask likewise.
-    """
-    tangents = a.shape[0] > m
-    if tangents:
+def _input_rows(spec: NetSpec, a, points) -> None:
+    """Write the first layer's input rows into `a`: a[:m] <- the m normalized
+    `points` and, when `a` has 3m rows, a[m:] <- the constant input-tangent
+    rows (dx_factor, 0) and (0, dt_factor), which make the first matmul's
+    tangent rows the physical d/dx and d/dt."""
+    m = points.shape[0]
+    a[:m] = points
+    if a.shape[0] > m:
         a[m:] = 0.0
         a[m:2 * m, 0] = spec.scaler.dx_factor
         a[2 * m:, 1] = spec.scaler.dt_factor
+
+
+def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
+            mask=None) -> None:
+    """Run the layers `params` over the stacked rows `a`, the first one's
+    input, layer li writing its rows into zs[li] and, through softplus, the
+    sigmoid (given `mask`) or else exp(-|z|) into ss[li]. The last of
+    `params` is the output layer, so a caller that resumes at a later layer
+    hands in the tails of params, zs and ss.
+
+    a[:m] holds m value rows. When `a` has 3m rows, a[m:] holds their d/dx
+    and d/dt tangent rows (`_input_rows` writes the network's) and softplus
+    needs `mask`. Each layer is one matmul of all rows, with the bias added
+    to the value rows only; softplus scales the tangent rows by the
+    sigmoid. ss and tmp are (m, width), mask likewise.
+    """
+    tangents = a.shape[0] > m
     use_softplus = spec.activation == "softplus"
     for li, ((w, b), z) in enumerate(zip(params, zs)):
         np.matmul(a, w, out=z)
@@ -239,7 +255,51 @@ def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
         a = z
 
 
-def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class ForwardCache:
+    """Every layer's input rows over fixed points under fixed (W, b), from
+    which `_forward` resumes at the first layer whose parameters changed.
+
+    `points` are the normalized (n, 2) points, `kinds` is 1 (values) or 3
+    (values and tangents), `params` holds the bytes of each layer's (W, b),
+    and inputs[li] holds layer li's kinds*n input rows in `_forward`'s block
+    layout: block after block, each its value rows, then its d/dx and d/dt
+    tangent rows.
+    """
+
+    points: np.ndarray
+    kinds: int
+    params: list
+    inputs: list
+
+    def resume_layer(self, params: NetParams, points, kinds: int) -> int:
+        """The first layer whose (W, b) bytes differ from the cache's, or the
+        output layer when none do; a cache built for other points, row kinds
+        or a net of other depth is a ValueError."""
+        if (kinds != self.kinds or len(params) != len(self.params)
+                or not np.array_equal(points, self.points)):
+            raise ValueError("forward cache was built for other points, row kinds or layers")
+        last = len(params) - 1
+        for li, ((w, b), (wb, bb)) in enumerate(zip(params[:last], self.params)):
+            if w.tobytes() != wb or b.tobytes() != bb:
+                return li
+        return last
+
+
+def forward_cache(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> ForwardCache:
+    """The `ForwardCache` of these points and row kinds under `params`, from
+    one blocked forward."""
+    points = _stack_inputs(spec, x, t)
+    kinds = 3 if tangents else 1
+    inputs = [np.empty((kinds * points.shape[0], n_in)) for n_in, _ in spec.layer_dims]
+    _forward(spec, params, x, t, tangents, keep=inputs)
+    return ForwardCache(points=points, kinds=kinds,
+                        params=[(w.tobytes(), b.tobytes()) for w, b in params],
+                        inputs=inputs)
+
+
+def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool,
+             cache: ForwardCache | None = None, keep=None) -> np.ndarray:
     """The network over the points, as an array out[channel, row kind, point].
 
     Row kind 0 is the output value; with `tangents`, kinds 1 and 2 are its
@@ -247,10 +307,18 @@ def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarr
     each through `_layers` over two row buffers that alternate between
     layers, so a block's buffers stay cache-sized. Buffers are allocated
     once per call and every op writes in place.
+
+    Given a `cache` of these points and row kinds, each block starts at the
+    cache's `resume_layer`, reading that layer's input rows from the cache:
+    the layers before it have the cached (W, b), so they would give the
+    same rows again. Given `keep` (`forward_cache`), one array per layer in
+    the cache's layout, each layer writes its input rows there instead of to
+    the alternating buffers.
     """
     inputs = _stack_inputs(spec, x, t)
     n = inputs.shape[0]
     kinds = 3 if tangents else 1
+    start = 0 if cache is None else cache.resume_layer(params, inputs, kinds)
     rows = min(n, BLOCK_ROWS)
     a = np.empty((kinds * rows, 2))
     bufs = np.empty((2, kinds * rows, spec.width))
@@ -262,29 +330,44 @@ def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> np.ndarr
     n_hidden = len(params) - 1
     for lo in range(0, n, BLOCK_ROWS):
         m = min(BLOCK_ROWS, n - lo)
-        a[:m] = inputs[lo:lo + m]
-        zs = [bufs[li % 2, :kinds * m] for li in range(n_hidden)] + [y[:kinds * m]]
-        _layers(spec, params, a[:kinds * m], m, zs, [s[:m]] * n_hidden, tmp[:m],
-                mask[:m] if tangents else None)
+        block = slice(kinds * lo, kinds * (lo + m))
+        if keep is None:
+            zs = [bufs[li % 2, :kinds * m] for li in range(n_hidden)]
+        else:
+            zs = [arr[block] for arr in keep[1:]]
+        zs.append(y[:kinds * m])
+        if start:
+            first = cache.inputs[start][block]
+        else:
+            first = a[:kinds * m] if keep is None else keep[0][block]
+            _input_rows(spec, first, inputs[lo:lo + m])
+        _layers(spec, params[start:], first, m, zs[start:], [s[:m]] * (n_hidden - start),
+                tmp[:m], mask[:m] if tangents else None)
         out[:, :, lo:lo + m] = zs[-1].reshape(kinds, m, 2).transpose(2, 0, 1)
     return out
 
 
-def net_forward(spec: NetSpec, params: NetParams, x, t):
-    """Plain forward pass; returns the two output channels as 1-d arrays."""
-    out = _forward(spec, params, x, t, tangents=False)
+def net_forward(spec: NetSpec, params: NetParams, x, t,
+                cache: ForwardCache | None = None):
+    """Plain forward pass; returns the two output channels as 1-d arrays.
+    `cache`, built by `forward_cache` for these points without tangents,
+    skips the layers whose parameters it holds."""
+    out = _forward(spec, params, x, t, tangents=False, cache=cache)
     return out[0, 0], out[1, 0]
 
 
-def forward_with_input_tangents(spec: NetSpec, params: NetParams, x, t):
+def forward_with_input_tangents(spec: NetSpec, params: NetParams, x, t,
+                                cache: ForwardCache | None = None):
     """Outputs plus exact physical-space derivatives, carried forward through
     the layers alongside the values.
 
     Returns (P, v, dP/dx, dP/dt, dv/dx, dv/dt); in head-velocity mode the
     first channel is head. Derivative exactness is machine precision --
-    these are derivatives of the network function itself.
+    these are derivatives of the network function itself. `cache`, built
+    by `forward_cache` for these points with tangents, skips the layers
+    whose parameters it holds.
     """
-    out = _forward(spec, params, x, t, tangents=True)
+    out = _forward(spec, params, x, t, tangents=True, cache=cache)
     return out[0, 0], out[1, 0], out[0, 1], out[0, 2], out[1, 1], out[1, 2]
 
 
@@ -313,7 +396,7 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
     rows = (3 if with_tangents else 1) * m
     use_softplus = spec.activation == "softplus"
     a = np.empty((rows, 2))
-    a[:m] = points
+    _input_rows(spec, a, points)
     tmp, mask = np.empty((m, spec.width)), np.empty((m, spec.width), bool)
     zs = [np.empty((rows, n_out)) for _, n_out in spec.layer_dims]
     sigmoids = [np.empty((m, spec.width)) for _ in params[:-1]]

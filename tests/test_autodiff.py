@@ -366,6 +366,43 @@ class TestFdCheck:
         with pytest.raises(ValueError):
             fd_check(loss_fn, grad, params, h=0.0)
 
+    @pytest.mark.parametrize("size", [7, None])
+    def test_probes_the_sorted_flat_draw_in_layout_order(self, size):
+        """The coordinates are `size` flat indices drawn by one
+        `rng.choice(total, size, replace=False)` and sorted (all of them for
+        None), probed in that order; the one at flat index i of the layout
+        W0, b0, W1, ... is named by its layer, array and offset."""
+        spec = NetSpec(hidden_layers=2, width=3, scaler=InputScaler(0.0, 1.0, 0.0, 1.0))
+        params = init_params(spec, 0)
+        theta0 = params_flatten(params)
+        names = [f"layer {li} {'Wb'[ai]}[{k}]" for li, layer in enumerate(params)
+                 for ai, arr in enumerate(layer) for k in range(arr.size)]
+        probed = []
+
+        def loss_fn():
+            theta = params_flatten(params)
+            probed.extend(np.flatnonzero(theta != theta0).tolist())
+            return float(theta @ theta)
+
+        def check(grad):
+            probed.clear()
+            return fd_check(loss_fn, params_views(spec, grad), params, h=1e-3, order=2,
+                            tolerance=1e-6, max_coordinates=size,
+                            rng=np.random.default_rng(5))
+
+        expected = (np.arange(theta0.size) if size is None else
+                    np.sort(np.random.default_rng(5).choice(theta0.size, size, replace=False)))
+        report = check(2.0 * theta0)
+        assert report.passed and report.n_coordinates == expected.size
+        assert probed == np.repeat(expected, 2).tolist()
+        for i in expected:
+            grad = 2.0 * theta0
+            grad[i] += 1.0
+            report = check(grad)
+            assert not report.passed
+            assert report.worst_coordinate.startswith(names[i] + " ")
+        assert np.array_equal(params_flatten(params), theta0)
+
     @pytest.mark.parametrize("corrupt, worst", [
         ("nan_gradient", "layer 0 W[0]"),
         ("nan_loss", "layer 0 W[0]"),

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import write_checkpoint_meta
+from hydropinn.adcheck import default_coefficients
 from hydropinn.autodiff.tape import Tape
 from hydropinn.errors import ConfigError, DomainError
+from hydropinn.losses import residuals
 from hydropinn.network import (
     BLOCK_ROWS,
     OUTPUT_MODES,
     InputScaler,
     NetSpec,
+    _stack_inputs,
+    forward_cache,
     forward_with_input_tangents,
     init_params,
     load_checkpoint,
@@ -145,6 +149,74 @@ def test_desk_grid_forward_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < 16e6, (fn.__name__, peak)
+
+
+class TestForwardCache:
+    """A forward handed a `forward_cache` of its points resumes at the first
+    layer whose parameters differ from the cache's and gives the outputs of
+    the full forward, bitwise."""
+
+    spec = NetSpec(hidden_layers=4, width=9, scaler=InputScaler(0.0, 50_000.0, 0.0, 600.0))
+
+    def _case(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_params(self.spec, seed)
+        x, t = rng.uniform(0, 50_000, n), rng.uniform(0, 600, n)
+        caches = tuple(forward_cache(self.spec, params, x, t, tangents)
+                       for tangents in (False, True))
+        return params, x, t, caches
+
+    def _outputs(self, params, x, t, caches):
+        data, colloc = caches
+        return (*net_forward(self.spec, params, x, t, cache=data),
+                *forward_with_input_tangents(self.spec, params, x, t, cache=colloc),
+                *residuals(self.spec, params, default_coefficients(), x, t, cache=colloc))
+
+    def _assert_equal_to_full(self, params, x, t, caches):
+        for got, want in zip(self._outputs(params, x, t, caches),
+                             self._outputs(params, x, t, (None, None)), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 32, 600])
+    def test_one_perturbed_entry_per_layer_array(self, n):
+        params, x, t, caches = self._case(n)
+        points, last = _stack_inputs(self.spec, x, t), len(params) - 1
+        self._assert_equal_to_full(params, x, t, caches)
+        assert caches[0].resume_layer(params, points, 1) == last
+        for li, layer in enumerate(params):
+            for arr in layer:
+                flat = arr.reshape(-1)
+                k = (7 * li + 3) % flat.size
+                old = flat[k]
+                flat[k] = old + 1e-3
+                try:
+                    assert caches[1].resume_layer(params, points, 3) == li
+                    self._assert_equal_to_full(params, x, t, caches)
+                finally:
+                    flat[k] = old
+        self._assert_equal_to_full(params, x, t, caches)
+
+    def test_two_changed_layers(self):
+        params, x, t, caches = self._case(600, seed=1)
+        params[1][0][2, 5] += 1e-3
+        params[3][1][4] -= 1e-3
+        assert caches[0].resume_layer(params, _stack_inputs(self.spec, x, t), 1) == 1
+        self._assert_equal_to_full(params, x, t, caches)
+
+    def test_cache_of_other_points_or_row_kinds_is_rejected(self):
+        params, x, t, (data, colloc) = self._case(32)
+        spec, coeffs = self.spec, default_coefficients()
+        calls = [
+            lambda: net_forward(spec, params, x + 1.0, t, cache=data),
+            lambda: net_forward(spec, params, x[:-1], t[:-1], cache=data),
+            lambda: forward_with_input_tangents(spec, params, x, t[::-1], cache=colloc),
+            lambda: net_forward(spec, params, x, t, cache=colloc),
+            lambda: forward_with_input_tangents(spec, params, x, t, cache=data),
+            lambda: residuals(spec, params, coeffs, x, t, cache=data),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="forward cache was built for other"):
+                call()
 
 
 class TestCheckpoint:

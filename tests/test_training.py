@@ -295,6 +295,36 @@ class TestGradientValidity:
         assert (dnn.max_rel_error, dnn.worst_coordinate) != \
             (pinn.max_rel_error, pinn.worst_coordinate)
 
+    @pytest.mark.parametrize("baseline", ["kih", "dnn"])
+    def test_cached_probes_equal_full_evaluations(self, monkeypatch, baseline):
+        """`run_adcheck` hands the probe the forward caches of the unperturbed
+        parameters (none for the collocation points of an objective without
+        physics terms), and every probed loss equals the loss evaluated in
+        full, bitwise."""
+        from dataclasses import replace
+
+        import hydropinn.adcheck
+        from hydropinn.adcheck import adcheck_from_config
+
+        loss_fn = hydropinn.adcheck.fast_coupled_loss
+        probes = []
+
+        def compared(problem):
+            value = loss_fn(problem)
+            assert problem.data_cache is not None
+            assert (problem.colloc_cache is not None) == (baseline == "kih")
+            assert value == loss_fn(replace(problem, data_cache=None, colloc_cache=None))
+            probes.append(value)
+            return value
+
+        monkeypatch.setattr(hydropinn.adcheck, "fast_coupled_loss", compared)
+        cfg = training.load_train_config(
+            Path(__file__).resolve().parents[1] / "configs" / f"{baseline}.json")
+        report = adcheck_from_config(cfg, n_points=8, order=4, max_coordinates=40,
+                                     coord_seed=2)
+        assert report.passed, report.summary()
+        assert len(probes) == 4 * 40
+
     @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
     def test_adcheck_sums_the_last_stage_objective(self, monkeypatch, baseline):
         """Both sides of the check add their terms through the stage loop's

@@ -25,9 +25,13 @@ offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
   those trained params over the desk grid (51 x 1201 = 61,251 points, so
   the forwards' last block has 323 rows), the eval path;
 * the adcheck `max_rel_error` and `worst_coordinate` of the shipped
-  config (order 4, 50 coordinates, coordinate seed 7), and the sha256 of
-  the full taped gradient that check compares against, captured by
-  wrapping `hydropinn.adcheck.taped_coupled_gradient`.
+  config (order 4, 50 coordinates, coordinate seed 7), the sha256 of the
+  full taped gradient that check compares against and the sha256 of every
+  loss value it probed, in probe order, captured by wrapping
+  `hydropinn.adcheck.taped_coupled_gradient` and
+  `hydropinn.adcheck.fast_coupled_loss`; the same three lines for kih with
+  600 points per family, so that its 1,200 data points span three forward
+  blocks.
 """
 
 from __future__ import annotations
@@ -135,21 +139,32 @@ def main(argv) -> int:
             print(f"{baseline} {fn.__name__} "
                   f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
                   f"({xg.size} points)")
-    grads = []
+    grads, losses = [], []
     taped_gradient = hydropinn.adcheck.taped_coupled_gradient
+    probe_loss = hydropinn.adcheck.fast_coupled_loss
 
-    def capture(problem):
+    def capture_gradient(problem):
         grads.append(taped_gradient(problem))
         return grads[-1]
 
-    hydropinn.adcheck.taped_coupled_gradient = capture
-    for baseline, _ in RUNS:
+    def capture_loss(problem):
+        losses.append(probe_loss(problem))
+        return losses[-1]
+
+    hydropinn.adcheck.taped_coupled_gradient = capture_gradient
+    hydropinn.adcheck.fast_coupled_loss = capture_loss
+    for baseline, n_points in [(b, 32) for b, _ in RUNS] + [("kih", 600)]:
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
         grads.clear()
-        report = adcheck_from_config(cfg, order=4, max_coordinates=50, coord_seed=7)
-        print(f"{baseline} adcheck {report.max_rel_error!r} at {report.worst_coordinate}")
+        losses.clear()
+        report = adcheck_from_config(cfg, n_points=n_points, order=4, max_coordinates=50,
+                                     coord_seed=7)
+        name = baseline if n_points == 32 else f"{baseline} {n_points} points"
+        print(f"{name} adcheck {report.max_rel_error!r} at {report.worst_coordinate}")
         (grad,) = grads
-        print(f"{baseline} adcheck gradient {_digest(params_bytes(grad))}")
+        print(f"{name} adcheck gradient {_digest(params_bytes(grad))}")
+        print(f"{name} adcheck probes {_digest(struct.pack('<d', v) for v in losses)} "
+              f"({len(losses)} values)")
     return 0
 
 
