@@ -137,12 +137,12 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
     return _weighted_sum(p.objective, terms)
 
 
-def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
-                tolerance: float = 1e-5, order: int = 2,
-                max_coordinates: int | None = None,
-                coord_seed: int = 0) -> FdReport:
+def run_adcheck(problem: AdCheckProblem, coord_seed: int = 0,
+                **fd_kwargs) -> FdReport:
     """fd_check of the taped gradient against the probe, whose forwards
-    resume from caches built here under the unperturbed parameters."""
+    resume from caches built here under the unperturbed parameters;
+    `fd_kwargs` (h, tolerance, order, max_coordinates) go to `fd_check`,
+    which owns their defaults."""
     grad = taped_coupled_gradient(problem)
     p, c = problem, problem.colloc
     colloc_cache = (forward_cache(p.spec, p.params, c.x_f, c.t_f, tangents=True)
@@ -150,12 +150,8 @@ def run_adcheck(problem: AdCheckProblem, h: float = 1e-4,
     probed = replace(p, colloc_cache=colloc_cache,
                      data_cache=forward_cache(p.spec, p.params, *_data_points(c),
                                               tangents=False))
-    return fd_check(
-        lambda: fast_coupled_loss(probed), grad, problem.params, h=h,
-        tolerance=tolerance, order=order,
-        max_coordinates=max_coordinates,
-        rng=np.random.default_rng(coord_seed),
-    )
+    return fd_check(lambda: fast_coupled_loss(probed), grad, problem.params,
+                    rng=np.random.default_rng(coord_seed), **fd_kwargs)
 
 
 def _check_arguments(n_points, h=None, tolerance=None, max_coordinates=None, **_):

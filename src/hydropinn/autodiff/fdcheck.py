@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FLOOR_SCALE = 1e-6  # relative-error denominator floor, times max(1, max |grad|)
+
 
 @dataclass
 class FdReport:
@@ -55,7 +57,6 @@ def fd_check(
     order: int = 4,
     max_coordinates: int | None = None,
     rng: np.random.Generator | None = None,
-    floor_scale: float = 1e-6,
 ) -> FdReport:
     """Compare `grad` against central differences of `loss_fn`.
 
@@ -86,7 +87,7 @@ def fd_check(
          for layer in grad for arr in layer),
         default=0.0,
     )
-    floor = floor_scale * max(1.0, gmax)
+    floor = FLOOR_SCALE * max(1.0, gmax)
 
     arr_names = ("W", "b")
     worst_err = 0.0

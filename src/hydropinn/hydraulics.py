@@ -89,10 +89,6 @@ class SteadyProfile:
     pressure: np.ndarray  # MPa, one per position
     velocity: float  # m/s, uniform along the pipe
 
-    def head(self, fluid: FluidSpec, gravity: float = GRAVITY) -> np.ndarray:
-        """Piezometric head per position, m."""
-        return pressure_to_head(self.pressure, fluid.density, gravity)
-
 
 def wave_speed(fluid: FluidSpec, pipe: PipelineSpec) -> float:
     """Pressure-wave propagation speed in the fluid-pipe system, m/s.

@@ -39,10 +39,10 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def mape_with_skips(pred, truth, floor: float = MAPE_FLOOR) -> tuple[float, int]:
+def mape_with_skips(pred, truth) -> tuple[float, int]:
     """MAPE in percent plus the count of near-zero truth points skipped."""
     pred, truth = _check_pair(pred, truth, 1)
-    keep = np.abs(truth) > floor
+    keep = np.abs(truth) > MAPE_FLOOR
     skipped = int(np.sum(~keep))
     if not np.any(keep):
         raise DomainError("all truth values are below the MAPE floor")
@@ -51,8 +51,8 @@ def mape_with_skips(pred, truth, floor: float = MAPE_FLOOR) -> tuple[float, int]
     return value, skipped
 
 
-def mape(pred, truth, floor: float = MAPE_FLOOR) -> float:
-    return mape_with_skips(pred, truth, floor)[0]
+def mape(pred, truth) -> float:
+    return mape_with_skips(pred, truth)[0]
 
 
 def r2(pred, truth) -> float:

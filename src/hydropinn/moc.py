@@ -379,9 +379,9 @@ def export_grid(length: float, duration: float, dx: float = 1000.0,
 
 
 def interior_column_indices(xs: np.ndarray, length: float,
-                            offtake_x: float | None = None,
-                            tol: float = 0.5) -> np.ndarray:
+                            offtake_x: float | None = None) -> np.ndarray:
     """Columns that carry no boundary or offtake node (collocation columns)."""
+    tol = 0.5  # m
     xs = np.asarray(xs, dtype=float)
     keep = (np.abs(xs - 0.0) > tol) & (np.abs(xs - length) > tol)
     if offtake_x is not None:

@@ -132,9 +132,7 @@ SOFTPLUS_INIT_GAIN = 1.2
 FIRST_LAYER_GAIN = 2.0
 
 
-def init_params(spec: NetSpec, seed: int | np.random.Generator = 0,
-                gain: float = SOFTPLUS_INIT_GAIN,
-                first_layer_gain: float = FIRST_LAYER_GAIN) -> NetParams:
+def init_params(spec: NetSpec, seed: int | np.random.Generator = 0) -> NetParams:
     """He-style initialization (variance gain^2 * 2/fan_in), zero biases
     except for the first layer.
 
@@ -142,14 +140,14 @@ def init_params(spec: NetSpec, seed: int | np.random.Generator = 0,
     small constant learning rate:
 
     * softplus damps the input-dependent signal by roughly half per layer,
-      so deep stacks collapse to a near-constant function at init; the
-      default gain restores O(1) output spread through ten layers
+      so deep stacks collapse to a near-constant function at init;
+      `SOFTPLUS_INIT_GAIN` restores O(1) output spread through ten layers
       (measured empirically);
     * with zero first-layer biases every unit's activation kink crosses
       the origin of the normalized input square, and features localized
       elsewhere (a wavefront arriving mid-run) are slow to form. The first
-      layer therefore gets a larger gain and biases placed so each kink
-      falls at a random point of the unit square.
+      layer therefore gets the larger `FIRST_LAYER_GAIN` and biases placed
+      so each kink falls at a random point of the unit square.
 
     Contract: hidden-layer and output-layer biases are exactly zero. For
     each first-layer unit j an anchor point a_j is drawn uniformly from the
@@ -161,7 +159,7 @@ def init_params(spec: NetSpec, seed: int | np.random.Generator = 0,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     params = []
     for li, (n_in, n_out) in enumerate(spec.layer_dims):
-        g = first_layer_gain if li == 0 else gain
+        g = FIRST_LAYER_GAIN if li == 0 else SOFTPLUS_INIT_GAIN
         w = rng.standard_normal((n_in, n_out)) * g * np.sqrt(2.0 / n_in)
         if li == 0:
             anchors = rng.uniform(0.0, 1.0, (n_in, n_out))

@@ -39,8 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import count, list_of, nested, number, optional, read_object, text
-from .errors import ConfigError, NumericalBlowupError, TrainingDivergedError
+from .errors import ConfigError, DomainError, NumericalBlowupError, TrainingDivergedError
 from .losses import (
+    BC_LOSS_FORMS,
     CollocationSet,
     LossWeights,
     PhysicsCoefficients,
@@ -65,6 +66,9 @@ from .autodiff.tape import Tape
 BASELINES = ("kih", "pinn", "dnn")
 EVAL_EVERY = 250
 EVAL_COLLOCATION_POINTS = 2048
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 TRACE_CSV_HEADER = "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
 
@@ -74,14 +78,10 @@ class TrainConfig:
     baseline: str = "kih"
     hidden_layers: int = 10
     width: int = 50
-    activation: str = "softplus"
     stage_iterations: tuple[int, int, int] = (2000, 2000, 16000)
     iterations: int | None = None  # single-stage baselines; defaults to the stage sum
     batch_size: int = 128
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     bc_loss_form: str = "paper"
@@ -91,6 +91,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.baseline not in BASELINES:
             raise ConfigError(f"unknown baseline {self.baseline!r}; expected {BASELINES}")
+        for key, n in (("network.hidden_layers", self.hidden_layers),
+                       ("network.width", self.width)):
+            if n < 1:
+                raise ConfigError(f"{key} must be at least 1, got {n!r}")
         if len(self.stage_iterations) != 3 or any(n < 0 for n in self.stage_iterations):
             raise ConfigError("stage_iterations must be three non-negative counts")
         if self.iterations is not None and self.iterations < 0:
@@ -102,16 +106,12 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.bc_loss_form not in ("paper", "split"):
-            raise ConfigError("bc_loss_form must be 'paper' or 'split'")
+        if self.bc_loss_form not in BC_LOSS_FORMS:
+            raise ConfigError(f"bc_loss_form must be one of {BC_LOSS_FORMS}")
         for key, value in (("divergence_threshold", self.divergence_threshold),
-                           ("bc_retention_factor", self.bc_retention_factor),
-                           ("adam.eps", self.eps)):
+                           ("bc_retention_factor", self.bc_retention_factor)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
-        for key, value in (("adam.beta1", self.beta1), ("adam.beta2", self.beta2)):
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
 
     @property
     def total_iterations(self) -> int:
@@ -125,13 +125,11 @@ class TrainConfig:
             "network": {
                 "hidden_layers": self.hidden_layers,
                 "width": self.width,
-                "activation": self.activation,
             },
             "stage_iterations": list(self.stage_iterations),
             "iterations": self.iterations,
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
-            "adam": {"beta1": self.beta1, "beta2": self.beta2, "eps": self.eps},
             "seed": self.seed,
             "weights": {"bc": self.weights.bc, "ic": self.weights.ic,
                         "con": self.weights.con, "mo": self.weights.mo},
@@ -148,14 +146,15 @@ class TrainConfig:
             "iterations": optional(count), "batch_size": count,
             "learning_rate": number, "seed": count, "bc_loss_form": text,
             "bc_retention_factor": number, "divergence_threshold": number,
-            "network": nested({"hidden_layers": count, "width": count,
-                               "activation": text}),
-            "adam": nested({"beta1": number, "beta2": number, "eps": number}),
+            "network": nested({"hidden_layers": count, "width": count}),
             "weights": nested(dict.fromkeys(("bc", "ic", "con", "mo"), number)),
         })
-        kwargs.update(**kwargs.pop("network", {}), **kwargs.pop("adam", {}))
+        kwargs.update(kwargs.pop("network", {}))
         if "weights" in kwargs:
-            kwargs["weights"] = LossWeights(**kwargs["weights"])
+            try:
+                kwargs["weights"] = LossWeights(**kwargs["weights"])
+            except DomainError as exc:
+                raise ConfigError(f"weights: {exc}") from exc
         if "stage_iterations" in kwargs:
             kwargs["stage_iterations"] = tuple(kwargs["stage_iterations"])
         return cls(**kwargs)
@@ -243,21 +242,21 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(theta, grad, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard Adam update with bias correction on flat parameter and
-    gradient vectors; mutates theta and state."""
+def adam_step(theta, grad, state: AdamState, lr: float):
+    """Standard Adam update with bias correction, at the fixed `ADAM_BETA1`,
+    `ADAM_BETA2` and `ADAM_EPS`, on flat parameter and gradient vectors;
+    mutates theta and state."""
     if not np.all(np.isfinite(grad)):
         raise NumericalBlowupError("non-finite gradient in Adam step")
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return theta, state
 
 
@@ -425,8 +424,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         # free this iteration's tape before the next one records its forwards
         del theta_var, terms, loss_var
         try:
-            adam_step(theta, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2,
-                      cfg.eps)
+            adam_step(theta, grad, adam, cfg.learning_rate)
         except NumericalBlowupError as exc:
             bad = [name for name in LOSS_TERMS if not np.isfinite(row[name])]
             raise NumericalBlowupError(
@@ -472,7 +470,6 @@ def _make_spec(cfg: TrainConfig, scaler: InputScaler) -> NetSpec:
     return NetSpec(
         hidden_layers=cfg.hidden_layers,
         width=cfg.width,
-        activation=cfg.activation,
         scaler=scaler,
         output_mode=output_mode_for(cfg.baseline),
     )

@@ -32,7 +32,7 @@ def tiny_train_config(tmp_path_factory):
     d = tmp_path_factory.mktemp("cfg")
     cfg = {
         "baseline": "kih",
-        "network": {"hidden_layers": 2, "width": 8, "activation": "softplus"},
+        "network": {"hidden_layers": 2, "width": 8},
         "stage_iterations": [20, 10, 30],
         "batch_size": 32,
         "learning_rate": 1e-4,
@@ -139,12 +139,15 @@ class TestConfigKeys:
         ("train", lambda d: d.update(lr_decay=1.0), "lr_decay"),
         ("train", lambda d: d.update(divergence_threshold=-5.0), "divergence_threshold"),
         ("train", lambda d: d.update(bc_retention_factor=0.0), "bc_retention_factor"),
-        ("train", lambda d: d.setdefault("adam", {}).update(beta1=1.0), "adam.beta1"),
-        ("train", lambda d: d.setdefault("adam", {}).update(beta2=-0.1), "adam.beta2"),
-        ("train", lambda d: d.setdefault("adam", {}).update(eps=0.0), "adam.eps"),
+        ("train", lambda d: d.update(adam={"beta1": 0.9}), "adam"),
+        ("train", lambda d: d["network"].update(activation="softplus"),
+         "network.activation"),
+        ("train", lambda d: d["network"].update(hidden_layers=0), "network.hidden_layers"),
+        ("train", lambda d: d["network"].update(width=0), "network.width"),
+        ("train", lambda d: d.update(weights={"bc": -1.0}), "weights"),
     ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
-            "lr_decay", "divergence_threshold", "bc_retention_factor", "beta1", "beta2",
-            "eps"])
+            "lr_decay", "divergence_threshold", "bc_retention_factor", "adam",
+            "activation", "zero_hidden_layers", "zero_width", "negative_weight"])
     def test_unknown_key_or_bad_value_is_config_error(
             self, kind, edit, key, tiny_scenario_file, tiny_train_config,
             tiny_dataset, tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_output_magnitudes_match_along_profile(fluid, pipe):
     about two decades above it (the rationale for converting the outputs)."""
     prof = steady_profile(pipe, fluid, 1.48, 154.0 / 3600.0)
     mean_p = float(np.mean(np.abs(prof.pressure)))
-    mean_h = float(np.mean(np.abs(prof.head(fluid))))
+    mean_h = float(np.mean(np.abs(pressure_to_head(prof.pressure, fluid.density))))
     v = abs(prof.velocity)
     assert 0.1 <= mean_p / v <= 10.0
     assert mean_h / v >= 100.0

@@ -346,6 +346,25 @@ class TestGradientValidity:
         expected = _objective(_schedule(cfg)[-1][1], cfg.weights)
         assert objectives == [expected] * (1 + 4 * 2)
 
+    def test_adcheck_from_config_defaults_to_the_cli_order(self, monkeypatch):
+        """With no `order`, the library check probes each coordinate at
+        fourth order, four loss evaluations, as `hydropinn adcheck` does."""
+        import hydropinn.adcheck
+        from hydropinn.adcheck import adcheck_from_config
+
+        loss_fn = hydropinn.adcheck.fast_coupled_loss
+        probes = []
+
+        def counted(problem):
+            probes.append(None)
+            return loss_fn(problem)
+
+        monkeypatch.setattr(hydropinn.adcheck, "fast_coupled_loss", counted)
+        cfg = training.load_train_config(
+            Path(__file__).resolve().parents[1] / "configs" / "kih.json")
+        adcheck_from_config(cfg, n_points=4, max_coordinates=3)
+        assert len(probes) == 4 * 3
+
 
 class TestTermFunctions:
     """The taped `_batch_terms` and the tape-free `_eval_terms` give bitwise
