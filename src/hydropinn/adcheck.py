@@ -16,7 +16,12 @@ A probe changes one parameter, so the layers before it give the same rows
 on every probe. Before probing, `run_adcheck` builds a `ForwardCache` of the
 data points (bc then ic) and one of the collocation points under the
 unperturbed parameters; each probe's forwards resume from them at the
-perturbed layer, with the same arithmetic as a full forward.
+perturbed layer, with the same arithmetic as a full forward. The caches
+keep the raw points they were built for, so a probe passes the data
+cache's joined bc+ic points instead of joining them again, and they own
+the block buffers each resumed forward reuses, so a probe allocates only
+its outputs. A check's caches are its own and serve its probes one at a
+time.
 """
 
 from __future__ import annotations
@@ -116,13 +121,16 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
     """The problem's objective evaluated tape-free, with the two data-family
     forward passes fused into one call (the fd probe runs this tens of
     thousands of times), each forward resuming from the problem's cache
-    when it has one."""
+    when it has one; the fused data points are then the data cache's own,
+    joined once per check."""
     # imported per call, so a wrapper on the defining module sees these calls
     from .losses import residuals
     from .network import net_forward
 
     p, c = problem, problem.colloc
-    y1, v = net_forward(p.spec, p.params, *_data_points(c), cache=p.data_cache)
+    cache = p.data_cache
+    x, t = _data_points(c) if cache is None else (cache.x, cache.t)
+    y1, v = net_forward(p.spec, p.params, x, t, cache=cache)
     nb = c.n_bc
     terms = {}
     for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None))):

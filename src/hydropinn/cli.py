@@ -6,6 +6,7 @@ line is `error: <category>: <detail>` with a stable category word).
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,8 @@ from .moc import export_grid, run_details, sample
 from .network import load_checkpoint, save_checkpoint
 from .scenario import load_scenario
 from .training import TrainingData, load_train_config, train
+
+RUN_FORMAT = "hydropinn-run/1"
 
 
 @click.group()
@@ -108,9 +111,12 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     save_checkpoint(out, spec, params, label=cfg.baseline)
     trace_path = Path(str(out) + ".trace.csv")
     trace.write_csv(trace_path)
+    run_path = Path(str(out) + ".run.json")
+    record = {"format": RUN_FORMAT, "config": cfg.to_dict(), "warnings": trace.warnings}
+    run_path.write_text(json.dumps(record, indent=2) + "\n")
     for w in trace.warnings:
         click.echo(f"warning: {w}", err=True)
-    click.echo(f"wrote checkpoint {out} and trace {trace_path}")
+    click.echo(f"wrote checkpoint {out}, trace {trace_path} and run record {run_path}")
 
 
 def _report(obj, models, dataset_path, segment_breaks):

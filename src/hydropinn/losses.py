@@ -180,7 +180,10 @@ def continuity_residual_hv(h_t, h_x, v, v_x, c: PhysicsCoefficients):
 
 def _mean_sq(r):
     r2 = r * r
-    return r2.mean() if isinstance(r2, Var) else float(np.mean(r2))
+    if isinstance(r2, Var):
+        return r2.mean()
+    # np.mean's own reduction and division, without its Python wrapper
+    return float(np.add.reduce(r2, axis=None) / r2.size)
 
 
 def data_misfit(P_pred, v_pred, P_obs, v_obs, form: str):

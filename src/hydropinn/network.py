@@ -19,10 +19,13 @@ records the whole forward as one tape node whose only parent is the leaf
 over the flat parameter buffer, for training gradients.
 
 A `ForwardCache` (`forward_cache`) keeps every layer's input rows over
-fixed points and the bytes of the (W, b) that made them; handed to the
-tape-free forward, it lets each block start at the first layer whose
-parameters changed, as the adcheck probe's one-parameter perturbations
-allow.
+fixed points, the raw points themselves and the bytes of the (W, b) that
+made them; handed to the tape-free forward, it lets each block start at
+the first layer whose parameters changed, as the adcheck probe's
+one-parameter perturbations allow. It also owns the block buffers such a
+resumed forward runs in, so the forward checks the points by value,
+neither normalizes them nor allocates anything but its output, and one
+cache serves one caller at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import zipfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,29 +257,79 @@ def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
         a = z
 
 
+class _Block(NamedTuple):
+    """One block of a blocked forward: its first point `lo`, its `m` points,
+    and per layer the rows it reads (`inputs`; only the first layer's in a
+    forward without a cache) and writes (`zs`) and its softplus buffer
+    (`ss`), plus the block's `tmp` and `mask` scratch rows."""
+
+    lo: int
+    m: int
+    inputs: list
+    zs: list
+    ss: list
+    tmp: np.ndarray
+    mask: np.ndarray | None
+
+
+def _blocks(spec: NetSpec, n: int, kinds: int, inputs=None, keep: bool = False) -> list:
+    """The `_Block`s of n points with `kinds` row kinds, as views of one set
+    of buffers that every block reuses, sized for BLOCK_ROWS points so a
+    block's buffers stay cache-sized. Each hidden layer writes into one of
+    two row buffers that alternate between layers, the output layer into
+    its own, and the first layer reads a buffer of its own. Given `inputs`,
+    one array per layer in the `ForwardCache` layout, each layer reads the
+    block's rows there instead and, with `keep`, each hidden layer writes
+    them there too, in place of the alternating buffers."""
+    rows, n_hidden = min(n, BLOCK_ROWS), spec.hidden_layers
+    a = np.empty((kinds * rows, 2)) if inputs is None else None
+    bufs = None if keep else np.empty((2, kinds * rows, spec.width))
+    s = np.empty((rows, spec.width))
+    tmp = np.empty_like(s)
+    mask = np.empty(s.shape, dtype=bool) if kinds == 3 else None
+    y = np.empty((kinds * rows, 2))
+    blocks = []
+    for lo in range(0, n, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n - lo)
+        k = kinds * m
+        if inputs is None:
+            ins = [a[:k]]
+        else:
+            ins = [arr[kinds * lo:kinds * lo + k] for arr in inputs]
+        zs = ins[1:] if keep else [bufs[li % 2, :k] for li in range(n_hidden)]
+        blocks.append(_Block(lo, m, ins, zs + [y[:k]], [s[:m]] * n_hidden, tmp[:m],
+                             None if mask is None else mask[:m]))
+    return blocks
+
+
 @dataclass(frozen=True)
 class ForwardCache:
     """Every layer's input rows over fixed points under fixed (W, b), from
     which `_forward` resumes at the first layer whose parameters changed.
 
-    `points` are the normalized (n, 2) points, `kinds` is 1 (values) or 3
-    (values and tangents), `params` holds the bytes of each layer's (W, b),
-    and inputs[li] holds layer li's kinds*n input rows in `_forward`'s block
-    layout: block after block, each its value rows, then its d/dx and d/dt
-    tangent rows.
+    `x` and `t` are copies of the raw points it was built for, `kinds` is 1
+    (values) or 3 (values and tangents) and `params` holds the bytes of each
+    layer's (W, b). `blocks` are `_forward`'s blocks over buffers the cache
+    owns: each block's `inputs` are views of one array per layer holding
+    that layer's kinds*n input rows, block after block, each its value
+    rows, then its d/dx and d/dt tangent rows; its `zs`, `ss`, `tmp` and
+    `mask` are block buffers that every resumed forward reuses. A cache
+    therefore serves one caller at a time; each forward's returned arrays
+    are its own.
     """
 
-    points: np.ndarray
+    x: np.ndarray
+    t: np.ndarray
     kinds: int
     params: list
-    inputs: list
+    blocks: list
 
-    def resume_layer(self, params: NetParams, points, kinds: int) -> int:
+    def resume_layer(self, params: NetParams, x, t, kinds: int) -> int:
         """The first layer whose (W, b) bytes differ from the cache's, or the
-        output layer when none do; a cache built for other points, row kinds
-        or a net of other depth is a ValueError."""
+        output layer when none do; a cache built for other points (compared
+        by value), row kinds or a net of other depth is a ValueError."""
         if (kinds != self.kinds or len(params) != len(self.params)
-                or not np.array_equal(points, self.points)):
+                or not (np.array_equal(x, self.x) and np.array_equal(t, self.t))):
             raise ValueError("forward cache was built for other points, row kinds or layers")
         last = len(params) - 1
         for li, ((w, b), (wb, bb)) in enumerate(zip(params[:last], self.params)):
@@ -287,60 +341,46 @@ class ForwardCache:
 def forward_cache(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> ForwardCache:
     """The `ForwardCache` of these points and row kinds under `params`, from
     one blocked forward."""
-    points = _stack_inputs(spec, x, t)
+    x, t = np.array(x, dtype=float), np.array(t, dtype=float)
     kinds = 3 if tangents else 1
-    inputs = [np.empty((kinds * points.shape[0], n_in)) for n_in, _ in spec.layer_dims]
+    inputs = [np.empty((kinds * x.size, n_in)) for n_in, _ in spec.layer_dims]
     _forward(spec, params, x, t, tangents, keep=inputs)
-    return ForwardCache(points=points, kinds=kinds,
+    return ForwardCache(x=x, t=t, kinds=kinds,
                         params=[(w.tobytes(), b.tobytes()) for w, b in params],
-                        inputs=inputs)
+                        blocks=_blocks(spec, x.size, kinds, inputs))
 
 
 def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool,
              cache: ForwardCache | None = None, keep=None) -> np.ndarray:
-    """The network over the points, as an array out[channel, row kind, point].
+    """The network over the points, as a fresh array out[channel, row kind,
+    point].
 
     Row kind 0 is the output value; with `tangents`, kinds 1 and 2 are its
-    physical d/dx and d/dt. The points are walked in blocks of BLOCK_ROWS,
-    each through `_layers` over two row buffers that alternate between
-    layers, so a block's buffers stay cache-sized. Buffers are allocated
-    once per call and every op writes in place.
+    physical d/dx and d/dt. The points are walked in `_blocks`, each through
+    `_layers`; every op writes in place into buffers allocated once per call.
 
-    Given a `cache` of these points and row kinds, each block starts at the
-    cache's `resume_layer`, reading that layer's input rows from the cache:
-    the layers before it have the cached (W, b), so they would give the
-    same rows again. Given `keep` (`forward_cache`), one array per layer in
-    the cache's layout, each layer writes its input rows there instead of to
-    the alternating buffers.
+    Given a `cache` of these points and row kinds, the forward runs over
+    the cache's blocks and buffers and each block starts at the cache's
+    `resume_layer`, reading that layer's input rows from the cache: the
+    layers before it have the cached (W, b), so they would give the same
+    rows again. Such a forward neither normalizes the points nor allocates
+    anything but `out`. Given `keep` (`forward_cache`), one array per layer
+    in the cache's layout, each layer writes its input rows there instead
+    of to the alternating buffers.
     """
-    inputs = _stack_inputs(spec, x, t)
-    n = inputs.shape[0]
     kinds = 3 if tangents else 1
-    start = 0 if cache is None else cache.resume_layer(params, inputs, kinds)
-    rows = min(n, BLOCK_ROWS)
-    a = np.empty((kinds * rows, 2))
-    bufs = np.empty((2, kinds * rows, spec.width))
-    s = np.empty((rows, spec.width))
-    tmp = np.empty_like(s)
-    mask = np.empty(s.shape, dtype=bool)
-    y = np.empty((kinds * rows, 2))
+    if cache is None:
+        points = _stack_inputs(spec, x, t)
+        n, start = points.shape[0], 0
+        blocks = _blocks(spec, n, kinds, keep, keep is not None)
+    else:
+        n, start = cache.x.size, cache.resume_layer(params, x, t, kinds)
+        blocks = cache.blocks
     out = np.empty((2, kinds, n))
-    n_hidden = len(params) - 1
-    for lo in range(0, n, BLOCK_ROWS):
-        m = min(BLOCK_ROWS, n - lo)
-        block = slice(kinds * lo, kinds * (lo + m))
-        if keep is None:
-            zs = [bufs[li % 2, :kinds * m] for li in range(n_hidden)]
-        else:
-            zs = [arr[block] for arr in keep[1:]]
-        zs.append(y[:kinds * m])
-        if start:
-            first = cache.inputs[start][block]
-        else:
-            first = a[:kinds * m] if keep is None else keep[0][block]
-            _input_rows(spec, first, inputs[lo:lo + m])
-        _layers(spec, params[start:], first, m, zs[start:], [s[:m]] * (n_hidden - start),
-                tmp[:m], mask[:m] if tangents else None)
+    for lo, m, inputs, zs, ss, tmp, mask in blocks:
+        if cache is None:
+            _input_rows(spec, inputs[0], points[lo:lo + m])
+        _layers(spec, params[start:], inputs[start], m, zs[start:], ss[start:], tmp, mask)
         out[:, :, lo:lo + m] = zs[-1].reshape(kinds, m, 2).transpose(2, 0, 1)
     return out
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import write_checkpoint_meta
 from hydropinn.cli import main
 from hydropinn.dataset import meta_path, read_dataset
-from hydropinn.training import TrainingData
+from hydropinn.training import TrainConfig, TrainingData, load_train_config
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +313,18 @@ class TestTrainEvalCompare:
         _, pa, _ = load_checkpoint(a)
         _, pb, _ = load_checkpoint(b)
         assert not np.array_equal(pa[0][0], pb[0][0])
+
+    def test_run_record_holds_the_config_that_ran(self, tiny_train_config, tiny_dataset,
+                                                   tmp_path):
+        out = tmp_path / "seeded.npz"
+        assert main(["--seed", "3", "train", str(tiny_train_config), str(tiny_dataset),
+                     "-o", str(out), "--log-every", "0"]) == 0
+        record = json.loads((tmp_path / "seeded.npz.run.json").read_text())
+        assert record["format"] == "hydropinn-run/1"
+        assert record["config"]["seed"] == 3
+        ran = replace(load_train_config(tiny_train_config), seed=3)
+        assert TrainConfig.from_dict(record["config"]) == ran
+        assert isinstance(record["warnings"], list)
 
     def test_divergence_is_numeric_error(self, tiny_train_config, tiny_dataset, tmp_path,
                                          capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hydropinn.adcheck import AdCheckProblem, fast_coupled_loss
+from hydropinn.autodiff.tape import Tape
 from hydropinn.errors import ConfigError, DomainError
 from hydropinn.hydraulics import (
     flowrate_to_velocity,
@@ -13,6 +14,7 @@ from hydropinn.losses import (
     CollocationSet,
     LossWeights,
     PhysicsCoefficients,
+    _mean_sq,
     collocation_from_field,
     continuity_residual_hv,
     continuity_residual_pv,
@@ -283,3 +285,15 @@ class TestCollocationBuilder:
         colloc = collocation_from_field(field, meta.pipe.length, meta.offtake_x)
         ratio = np.mean(np.abs(colloc.P_ic)) / np.mean(np.abs(colloc.v_ic))
         assert 0.1 <= ratio <= 10.0
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 512, 513, 61_251])
+def test_mean_reductions_equal_np_mean_bitwise(n, strided):
+    """`_mean_sq` and `Var.mean` reduce in one pass without np.mean's Python
+    wrapper, and give its float64 value bit for bit."""
+    base = np.random.default_rng(n).standard_normal(3 * n if strided else n)
+    r = base[::3] if strided else base
+    assert r.size == n and r.strides == (24 if strided else 8,)
+    assert _mean_sq(r) == float(np.mean(r * r))
+    assert float(Tape().leaf(r).mean().value) == float(np.mean(r))

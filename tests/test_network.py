@@ -182,7 +182,7 @@ class TestForwardCache:
         params, x, t, caches = self._case(n)
         points, last = _stack_inputs(self.spec, x, t), len(params) - 1
         self._assert_equal_to_full(params, x, t, caches)
-        assert caches[0].resume_layer(params, points, 1) == last
+        assert caches[0].resume_layer(params, x, t, 1) == last
         for li, layer in enumerate(params):
             for arr in layer:
                 flat = arr.reshape(-1)
@@ -190,7 +190,7 @@ class TestForwardCache:
                 old = flat[k]
                 flat[k] = old + 1e-3
                 try:
-                    assert caches[1].resume_layer(params, points, 3) == li
+                    assert caches[1].resume_layer(params, x, t, 3) == li
                     self._assert_equal_to_full(params, x, t, caches)
                 finally:
                     flat[k] = old
@@ -200,7 +200,7 @@ class TestForwardCache:
         params, x, t, caches = self._case(600, seed=1)
         params[1][0][2, 5] += 1e-3
         params[3][1][4] -= 1e-3
-        assert caches[0].resume_layer(params, _stack_inputs(self.spec, x, t), 1) == 1
+        assert caches[0].resume_layer(params, x, t, 1) == 1
         self._assert_equal_to_full(params, x, t, caches)
 
     def test_cache_of_other_points_or_row_kinds_is_rejected(self):
@@ -217,6 +217,54 @@ class TestForwardCache:
         for call in calls:
             with pytest.raises(ValueError, match="forward cache was built for other"):
                 call()
+
+    @staticmethod
+    def _buffers(cache):
+        for block in cache.blocks:
+            yield from block.inputs
+            yield from block.zs
+            yield from block.ss
+            yield block.tmp
+            if block.mask is not None:
+                yield block.mask
+
+    @pytest.mark.parametrize("n", [32, 600])
+    def test_outputs_are_fresh_arrays(self, n):
+        params, x, t, (data, colloc) = self._case(n)
+        for fn, cache in ((net_forward, data), (forward_with_input_tangents, colloc)):
+            outputs = []
+            for li in (2, 0):  # a hidden layer, then the first one
+                w = params[li][0]
+                old = w[0, 1]
+                w[0, 1] = old + 1e-3
+                outputs.append(fn(self.spec, params, x, t, cache=cache))
+                w[0, 1] = old
+                if li == 2:
+                    first = [o.copy() for o in outputs[0]]
+            for got, want in zip(outputs[0], first, strict=True):
+                assert np.array_equal(got, want)
+            for got, other in zip(outputs[0], outputs[1], strict=True):
+                assert not np.array_equal(got, other)
+                assert not np.shares_memory(got, other)
+            for arr in (o for out in outputs for o in out):
+                assert not any(np.shares_memory(arr, buf) for buf in self._buffers(cache))
+
+    def test_points_are_compared_by_value(self):
+        params, x, t, (data, colloc) = self._case(32)
+        assert not np.shares_memory(x, data.x) and not np.shares_memory(t, colloc.t)
+        want = net_forward(self.spec, params, x, t)
+        for got, ref in zip(net_forward(self.spec, params, x.copy(), t.copy(), cache=data),
+                            want, strict=True):
+            assert np.array_equal(got, ref)
+        assert data.resume_layer(params, list(x), t.copy(), 1) == len(params) - 1
+        nudged = x.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        with pytest.raises(ValueError, match="forward cache was built for other"):
+            net_forward(self.spec, params, nudged, t, cache=data)
+        nudged = t.copy()
+        nudged[0] = np.nextafter(nudged[0], -np.inf)
+        with pytest.raises(ValueError, match="forward cache was built for other"):
+            forward_with_input_tangents(self.spec, params, x, nudged, cache=colloc)
 
 
 class TestCheckpoint:

@@ -31,7 +31,10 @@ offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
   `hydropinn.adcheck.taped_coupled_gradient` and
   `hydropinn.adcheck.fast_coupled_loss`; the same three lines for kih with
   600 points per family, so that its 1,200 data points span three forward
-  blocks.
+  blocks, and for a tiny kih net (2 hidden layers of width 8, the shipped
+  config otherwise) with every one of its 114 coordinates probed, so that
+  each layer is the resume layer of some probe, the output layer and the
+  first layer included, which a 50-coordinate draw often misses.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from pathlib import Path  # noqa: E402
 RUNS = (("kih", {"stage_iterations": (300, 260, 300)}),
         ("pinn", {"iterations": 300}),
         ("dnn", {"iterations": 300}))
+# 114 parameters, all probed: every layer is a probe's resume layer
+TINY_NET = {"hidden_layers": 2, "width": 8}
 
 
 def _digest(chunks) -> str:
@@ -153,13 +158,15 @@ def main(argv) -> int:
 
     hydropinn.adcheck.taped_coupled_gradient = capture_gradient
     hydropinn.adcheck.fast_coupled_loss = capture_loss
-    for baseline, n_points in [(b, 32) for b, _ in RUNS] + [("kih", 600)]:
-        cfg = load_train_config(root / "configs" / f"{baseline}.json")
+    checks = [(b, b, {}, 32, 50) for b, _ in RUNS] + [
+        ("kih 600 points", "kih", {}, 600, 50),
+        ("kih tiny net, every coordinate", "kih", TINY_NET, 32, None)]
+    for name, baseline, overrides, n_points, max_coordinates in checks:
+        cfg = replace(load_train_config(root / "configs" / f"{baseline}.json"), **overrides)
         grads.clear()
         losses.clear()
-        report = adcheck_from_config(cfg, n_points=n_points, order=4, max_coordinates=50,
-                                     coord_seed=7)
-        name = baseline if n_points == 32 else f"{baseline} {n_points} points"
+        report = adcheck_from_config(cfg, n_points=n_points, order=4,
+                                     max_coordinates=max_coordinates, coord_seed=7)
         print(f"{name} adcheck {report.max_rel_error!r} at {report.worst_coordinate}")
         (grad,) = grads
         print(f"{name} adcheck gradient {_digest(params_bytes(grad))}")
