@@ -6,7 +6,9 @@ line is `error: <category>: <detail>` with a stable category word).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,8 +16,9 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .adcheck import adcheck_from_config
-from .dataset import DatasetMeta, read_dataset, write_dataset
+from .dataset import DatasetMeta, meta_path, read_dataset, write_dataset
 from .errors import HydropinnError
 from .metrics import compare as compare_models
 from .moc import export_grid, run_details, sample
@@ -47,6 +50,14 @@ def _resolve_output(ctx_obj, path) -> Path:
         base.mkdir(parents=True, exist_ok=True)
         out = base / out
     return out
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _parse_breaks(ctx, param, text):
@@ -105,6 +116,8 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     if obj.get("seed") is not None:
         cfg = replace(cfg, seed=obj["seed"])
     field, meta = read_dataset(dataset_path)
+    dataset = {"csv_sha256": _sha256(dataset_path),
+               "meta_sha256": _sha256(meta_path(dataset_path))}
     data = TrainingData.from_dataset(field, meta)
     spec, params, trace = train(cfg, data, log_every=log_every, log=click.echo)
     out = _resolve_output(obj, output)
@@ -112,7 +125,10 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     trace_path = Path(str(out) + ".trace.csv")
     trace.write_csv(trace_path)
     run_path = Path(str(out) + ".run.json")
-    record = {"format": RUN_FORMAT, "config": cfg.to_dict(), "warnings": trace.warnings}
+    record = {"format": RUN_FORMAT, "config": cfg.to_dict(),
+              "versions": {"hydropinn": __version__, "numpy": np.__version__,
+                           "python": platform.python_version()},
+              "dataset": dataset, "warnings": trace.warnings}
     run_path.write_text(json.dumps(record, indent=2) + "\n")
     for w in trace.warnings:
         click.echo(f"warning: {w}", err=True)

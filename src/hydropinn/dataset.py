@@ -21,7 +21,7 @@ import numpy as np
 from .config import number, optional, read_object, text
 from .errors import ConfigError
 from .hydraulics import FluidSpec, PipelineSpec
-from .moc import FieldGrid
+from .moc import COLUMN_TOLERANCE, FieldGrid
 from .scenario import fluid_from_dict, fluid_to_dict, pipe_from_dict, pipe_to_dict
 
 CSV_HEADER = "x_m,t_s,pressure_mpa,velocity_mps"
@@ -53,8 +53,14 @@ class DatasetMeta:
             "format": text, "pipe": pipe_from_dict, "fluid": fluid_from_dict,
             "wave_speed_mps": number, "offtake_position_m": optional(number),
         }, ("pipe", "fluid", "wave_speed_mps"))
+        length, offtake_x = v["pipe"].length, v.get("offtake_position_m")
+        if not v["wave_speed_mps"] > 0:
+            raise ConfigError(f"wave_speed_mps must be positive, got {v['wave_speed_mps']!r}")
+        if offtake_x is not None and not 0 < offtake_x < length:
+            raise ConfigError(f"offtake_position_m must lie strictly inside the "
+                              f"{length:g} m pipe, got {offtake_x!r}")
         return cls(pipe=v["pipe"], fluid=v["fluid"], wave_speed=v["wave_speed_mps"],
-                   offtake_x=v.get("offtake_position_m"))
+                   offtake_x=offtake_x)
 
 
 def meta_path(dataset_path) -> Path:
@@ -105,7 +111,9 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
 
     The rows are parsed straight from the open file, so the transient memory
     is the parsed array, not the file's text; the lines are read again only
-    to name a malformed row.
+    to name a malformed row. After the rows and the sidecar, the grid is
+    checked against the pipe: its first and last columns must sit on the
+    pipe's ends, since they become the boundary family.
     """
     path = Path(path)
     with path.open() as csv:
@@ -158,4 +166,9 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
         raise ConfigError(f"{mpath} is not valid JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{mpath}: {exc}") from exc
+    for column, x, end, name in (("first", xs[0], 0.0, "inlet"),
+                                 ("last", xs[-1], meta.pipe.length, "outlet")):
+        if abs(x - end) > COLUMN_TOLERANCE:
+            raise ConfigError(f"{path}: {column} column x={x:g} m is not the pipe {name} "
+                              f"x={end:g} m (within {COLUMN_TOLERANCE:g} m)")
     return field, meta

@@ -33,19 +33,15 @@ BC_LOSS_FORMS = ("paper", "split")
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Non-negative weights for the coupled loss terms."""
+    """Non-negative weights of the coupled loss's physics terms; its data
+    terms bc and ic carry a fixed weight of 1."""
 
-    bc: float = 1.0
-    ic: float = 1.0
     con: float = 1.0
     mo: float = 1.0
 
     def __post_init__(self):
-        vals = (self.bc, self.ic, self.con, self.mo)
-        if any(v < 0 for v in vals):
+        if self.con < 0 or self.mo < 0:
             raise DomainError("loss weights must be non-negative")
-        if all(v == 0 for v in vals):
-            raise DomainError("at least one loss weight must be positive")
 
 
 @dataclass(frozen=True)

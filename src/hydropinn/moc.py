@@ -18,8 +18,10 @@ state is written into caller-owned rows. Its scratch rows, their shifted
 views and its ufunc operands are a `_workspace` built once per run.
 `run_details` steps it straight into the rows of its output arrays, in
 blocks of CHECK_ROWS rows; after each block it checks the block's
-finiteness and converts its finished head rows to pressure while they are
-in cache. `moc_step` runs the kernel once into fresh arrays.
+finiteness and sign and converts its finished head rows to pressure while
+they are in cache. A pressure below 0 MPa is column separation, which the
+model does not cover, and a `DomainError`. `moc_step` runs the kernel once
+into fresh arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .hydraulics import (
 from .scenario import Scenario
 
 MAX_WAVE_SPEED_RESCALE = 0.01
+COLUMN_TOLERANCE = 0.5  # m, a column this close to a boundary or offtake sits on it
 
 
 @dataclass(frozen=True)
@@ -208,21 +211,31 @@ def run(scenario: Scenario, dt: float = 0.5) -> FieldGrid:
     return run_details(scenario, dt)[0]
 
 
-def _check_rows(H_out, V_out, j0: int, j1: int, ts) -> None:
-    """Raise at the first step among rows j0..j1-1 with a non-finite value.
+def _check_rows(H_out, V_out, j0: int, j1: int, ts, xs) -> None:
+    """Raise at the first step among rows j0..j1-1 with a non-finite value
+    (`NumericalBlowupError`), else at the first step and node with a negative
+    head, that is a pressure below 0 MPa (`DomainError`).
 
     Any non-finite value makes its rows' sum non-finite, so one sum over the
     head rows and one over the velocity rows clear a finite block. Only a
     non-finite sum runs the exact per-row search, which alone decides: a
-    finite block whose sum overflows raises nothing.
+    finite block whose sum overflows raises nothing. A block that blows up
+    reports the blow-up, even where a pressure in it fell below zero first,
+    as a runaway explicit friction term swings through negative heads. A
+    finite block is then screened for a negative head by one min.
     """
-    if np.isfinite(H_out[j0:j1].sum()) and np.isfinite(V_out[j0:j1].sum()):
-        return
-    bad = ~(np.isfinite(H_out[j0:j1]).all(axis=1) & np.isfinite(V_out[j0:j1]).all(axis=1))
-    if bad.any():
-        j = j0 + int(np.argmax(bad))
-        raise NumericalBlowupError("non-finite head or velocity after MOC step "
-                                   f"(step {j}, t={ts[j]:.3f} s)", step=j)
+    H = H_out[j0:j1]
+    if not (np.isfinite(H.sum()) and np.isfinite(V_out[j0:j1].sum())):
+        bad = ~(np.isfinite(H).all(axis=1) & np.isfinite(V_out[j0:j1]).all(axis=1))
+        if bad.any():
+            j = j0 + int(np.argmax(bad))
+            raise NumericalBlowupError("non-finite head or velocity after MOC step "
+                                       f"(step {j}, t={ts[j]:.3f} s)", step=j)
+    if H.min() < 0.0:
+        k, i = divmod(int(np.argmax(H < 0.0)), H.shape[1])
+        j = j0 + k
+        raise DomainError(f"pressure below 0 MPa at x={xs[i]:.1f} m, t={ts[j]:.3f} s "
+                          f"(step {j}): column separation, which the model does not cover")
 
 
 def run_details(scenario: Scenario, dt: float = 0.5):
@@ -234,7 +247,9 @@ def run_details(scenario: Scenario, dt: float = 0.5):
 
     1. `_check_rows` checks its finiteness, screening it with one sum over
        its head rows and one over its velocity rows, and reports the first
-       non-finite step, as a check after every step would report it;
+       non-finite step, as a check after every step would report it; a
+       finite block is then checked for a pressure below 0 MPa with one min
+       over its head rows;
     2. the head rows the block finished are converted to pressure in place.
        The last row stays in head as the next step's input.
 
@@ -297,7 +312,7 @@ def run_details(scenario: Scenario, dt: float = 0.5):
                     off_vs[j0:j1].tolist()):
                 _step_into(P_out[j - 1], v_out[j - 1], P_out[j], v_out[j], ws,
                            inlet_head, outlet_v, offtake_index, off_v)
-            _check_rows(P_out, v_out, j0, j1, ts)
+            _check_rows(P_out, v_out, j0, j1, ts, xs)
             # the rows this block finished, while cache-hot; row j1-1 is the
             # next step's input and stays in head
             done = P_out[j0 - 1:j1 - 1]
@@ -381,9 +396,8 @@ def export_grid(length: float, duration: float, dx: float = 1000.0,
 def interior_column_indices(xs: np.ndarray, length: float,
                             offtake_x: float | None = None) -> np.ndarray:
     """Columns that carry no boundary or offtake node (collocation columns)."""
-    tol = 0.5  # m
     xs = np.asarray(xs, dtype=float)
-    keep = (np.abs(xs - 0.0) > tol) & (np.abs(xs - length) > tol)
+    keep = (np.abs(xs - 0.0) > COLUMN_TOLERANCE) & (np.abs(xs - length) > COLUMN_TOLERANCE)
     if offtake_x is not None:
-        keep &= np.abs(xs - offtake_x) > tol
+        keep &= np.abs(xs - offtake_x) > COLUMN_TOLERANCE
     return np.nonzero(keep)[0]

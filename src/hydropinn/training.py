@@ -69,6 +69,8 @@ EVAL_COLLOCATION_POINTS = 2048
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+DIVERGENCE_THRESHOLD = 1e6  # a batch objective above this stops the run
+BC_RETENTION_FACTOR = 10.0  # an `ic` stage growing the boundary loss more warns
 
 TRACE_CSV_HEADER = "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
 
@@ -85,8 +87,6 @@ class TrainConfig:
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     bc_loss_form: str = "paper"
-    bc_retention_factor: float = 10.0
-    divergence_threshold: float = 1e6
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -108,10 +108,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.bc_loss_form not in BC_LOSS_FORMS:
             raise ConfigError(f"bc_loss_form must be one of {BC_LOSS_FORMS}")
-        for key, value in (("divergence_threshold", self.divergence_threshold),
-                           ("bc_retention_factor", self.bc_retention_factor)):
-            if not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value!r}")
 
     @property
     def total_iterations(self) -> int:
@@ -131,11 +127,8 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
             "seed": self.seed,
-            "weights": {"bc": self.weights.bc, "ic": self.weights.ic,
-                        "con": self.weights.con, "mo": self.weights.mo},
+            "weights": {"con": self.weights.con, "mo": self.weights.mo},
             "bc_loss_form": self.bc_loss_form,
-            "bc_retention_factor": self.bc_retention_factor,
-            "divergence_threshold": self.divergence_threshold,
         }
 
     @classmethod
@@ -145,9 +138,8 @@ class TrainConfig:
             "baseline": text, "stage_iterations": list_of(count),
             "iterations": optional(count), "batch_size": count,
             "learning_rate": number, "seed": count, "bc_loss_form": text,
-            "bc_retention_factor": number, "divergence_threshold": number,
             "network": nested({"hidden_layers": count, "width": count}),
-            "weights": nested(dict.fromkeys(("bc", "ic", "con", "mo"), number)),
+            "weights": nested({"con": number, "mo": number}),
         })
         kwargs.update(kwargs.pop("network", {}))
         if "weights" in kwargs:
@@ -302,12 +294,13 @@ TERM_FAMILY = {"bc": "bc", "ic": "ic", "con": "f", "mo": "f"}  # point family ea
 
 
 def _objective(kind: str, w: LossWeights) -> dict:
-    """Ordered {term: weight} that a stage kind minimizes."""
+    """Ordered {term: weight} that a stage kind minimizes; the data terms
+    bc and ic always weigh 1."""
     objectives = {
         "bc": {"bc": 1.0},
         "ic": {"ic": 1.0},
-        "data": {"bc": w.bc, "ic": w.ic},
-        "coupled": {"bc": w.bc, "ic": w.ic, "con": w.con, "mo": w.mo},
+        "data": {"bc": 1.0, "ic": 1.0},
+        "coupled": {"bc": 1.0, "ic": 1.0, "con": w.con, "mo": w.mo},
     }
     if kind not in objectives:
         raise ConfigError(f"unknown stage kind {kind!r}")
@@ -373,7 +366,7 @@ def _eval_terms(spec, params, colloc: CollocationSet, coeffs: PhysicsCoefficient
 
 def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                spec: NetSpec, theta: np.ndarray, data: TrainingData,
-               trace: TrainTrace, start_iteration: int, form: str | None = None,
+               trace: TrainTrace, start_iteration: int, form: str,
                log_every: int = 0, log=print):
     """Optimize one stage objective over the flat parameter buffer `theta`.
 
@@ -387,12 +380,12 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     stage's fixed eval sets, refreshed at stage start and every
     `EVAL_EVERY` iterations. The stage-end evaluation computes only the
     objective. An `ic` stage warns when it grew the boundary loss by more
-    than `cfg.bc_retention_factor`.
+    than `BC_RETENTION_FACTOR`, and a batch objective that is not finite or
+    exceeds `DIVERGENCE_THRESHOLD` raises `TrainingDivergedError`.
     """
     batchers, eval_rows = _stage_rows(cfg, data, stage_id)
     objective = _objective(kind, cfg.weights)
     families = {TERM_FAMILY[name] for name in objective}
-    form = cfg.bc_loss_form if form is None else form
     params = params_views(spec, theta)
     c, coeffs = data.colloc, data.coeffs
 
@@ -412,7 +405,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                **diagnostics}
 
         total = float(loss_var.value)
-        if not np.isfinite(total) or total > cfg.divergence_threshold:
+        if not np.isfinite(total) or total > DIVERGENCE_THRESHOLD:
             raise TrainingDivergedError(
                 f"stage {stage_id} diverged at iteration {it}: loss={total:.4g} "
                 f"(bc={row['bc']:.4g}, ic={row['ic']:.4g}, con={row['con']:.4g}, "
@@ -457,7 +450,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     if kind == "ic":
         bc_after = _eval_terms(spec, params_views(spec, best), c, coeffs,
                                {"bc": eval_rows["bc"]}, form)["bc"]
-        if bc_after > cfg.bc_retention_factor * max(bc_before, 1e-300):
+        if bc_after > BC_RETENTION_FACTOR * max(bc_before, 1e-300):
             trace.warnings.append(
                 f"stage {stage_id} grew the boundary loss "
                 f"{bc_after / max(bc_before, 1e-300):.1f}x "

@@ -1,14 +1,21 @@
+import hashlib
 import json
+import platform
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hydropinn
 from conftest import write_checkpoint_meta
+from hydropinn import training
 from hydropinn.cli import main
 from hydropinn.dataset import meta_path, read_dataset
 from hydropinn.training import TrainConfig, TrainingData, load_train_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,19 @@ class TestGenerate:
         for part in ("outlet flowrate 0.0001 m^3/s", "Re 97.94", "64/Re = 0.6535"):
             assert part in err
 
+    def test_negative_pressure_is_domain_error(self, tmp_path, capsys):
+        # the desk outlet demand raised to 1.5x over 100-130 s separates the column
+        sc = json.loads((CONFIGS / "desk_scenario.json").read_text())
+        q0 = sc["outlet_flowrate_m3ps"][0][1]
+        sc["outlet_flowrate_m3ps"] = [[0.0, q0], [100.0, q0], [130.0, 1.5 * q0]]
+        scenario, out = tmp_path / "surge.json", tmp_path / "surge.csv"
+        scenario.write_text(json.dumps(sc))
+        assert main(["generate", str(scenario), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain: pressure below 0 MPa at x=50000.0 m, "
+                              "t=152.500 s (step 305)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-dx", "0"), ("--grid-dt", "0"), ("--grid-dx", "-1000"), ("--grid-dt", "-1"),
         ("--grid-dt", "nan"), ("--grid-dx", "inf"), ("--moc-dt", "nan"), ("--moc-dt", "0"),
@@ -138,17 +158,24 @@ class TestConfigKeys:
         ("train", lambda d: d.update(network=[1, 2]), "network"),
         ("train", lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
         ("train", lambda d: d.update(lr_decay=1.0), "lr_decay"),
-        ("train", lambda d: d.update(divergence_threshold=-5.0), "divergence_threshold"),
-        ("train", lambda d: d.update(bc_retention_factor=0.0), "bc_retention_factor"),
+        ("train", lambda d: d.update(divergence_threshold=1e6),
+         "unknown key 'divergence_threshold'"),
+        ("train", lambda d: d.update(bc_retention_factor=10.0),
+         "unknown key 'bc_retention_factor'"),
         ("train", lambda d: d.update(adam={"beta1": 0.9}), "adam"),
         ("train", lambda d: d["network"].update(activation="softplus"),
          "network.activation"),
         ("train", lambda d: d["network"].update(hidden_layers=0), "network.hidden_layers"),
         ("train", lambda d: d["network"].update(width=0), "network.width"),
-        ("train", lambda d: d.update(weights={"bc": -1.0}), "weights"),
+        ("train", lambda d: d.update(weights={"con": -1.0}), "weights"),
+        ("train", lambda d: d.update(weights={"bc": 1.0, "con": 10.0}),
+         "unknown key 'weights.bc'"),
+        ("train", lambda d: d.update(weights={"ic": 1.0, "mo": 10.0}),
+         "unknown key 'weights.ic'"),
     ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
             "lr_decay", "divergence_threshold", "bc_retention_factor", "adam",
-            "activation", "zero_hidden_layers", "zero_width", "negative_weight"])
+            "activation", "zero_hidden_layers", "zero_width", "negative_weight",
+            "weights_bc", "weights_ic"])
     def test_unknown_key_or_bad_value_is_config_error(
             self, kind, edit, key, tiny_scenario_file, tiny_train_config,
             tiny_dataset, tmp_path, capsys):
@@ -325,14 +352,17 @@ class TestTrainEvalCompare:
         ran = replace(load_train_config(tiny_train_config), seed=3)
         assert TrainConfig.from_dict(record["config"]) == ran
         assert isinstance(record["warnings"], list)
+        assert record["versions"] == {"hydropinn": hydropinn.__version__,
+                                      "numpy": np.__version__,
+                                      "python": platform.python_version()}
+        assert record["dataset"] == {
+            "csv_sha256": hashlib.sha256(tiny_dataset.read_bytes()).hexdigest(),
+            "meta_sha256": hashlib.sha256(meta_path(tiny_dataset).read_bytes()).hexdigest()}
 
-    def test_divergence_is_numeric_error(self, tiny_train_config, tiny_dataset, tmp_path,
-                                         capsys):
-        cfg = json.loads(tiny_train_config.read_text())
-        cfg["divergence_threshold"] = 1e-300
-        path = tmp_path / "diverging.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["train", str(path), str(tiny_dataset), "-o",
+    def test_divergence_is_numeric_error(self, monkeypatch, tiny_train_config, tiny_dataset,
+                                         tmp_path, capsys):
+        monkeypatch.setattr(training, "DIVERGENCE_THRESHOLD", 1e-300)
+        code = main(["train", str(tiny_train_config), str(tiny_dataset), "-o",
                      str(tmp_path / "m.npz"), "--log-every", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith(

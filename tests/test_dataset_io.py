@@ -182,6 +182,51 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError, match=r"meta\.json: unknown key 'fluid\.density'"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("wave_speed_mps", 0.0, "wave_speed_mps must be positive, got 0.0"),
+        ("wave_speed_mps", -1190.0, "wave_speed_mps must be positive, got -1190.0"),
+        ("offtake_position_m", 90_000.0, "offtake_position_m must lie strictly inside "
+                                         "the 50000 m pipe, got 90000.0"),
+        ("offtake_position_m", 0.0, "offtake_position_m must lie strictly inside "
+                                    "the 50000 m pipe, got 0.0"),
+        ("offtake_position_m", 50_000.0, "offtake_position_m must lie strictly inside "
+                                         "the 50000 m pipe, got 50000.0"),
+    ], ids=["zero_wave_speed", "negative_wave_speed", "offtake_past_outlet",
+            "offtake_at_inlet", "offtake_at_outlet"])
+    def test_sidecar_value_outside_the_pipe_named(self, tmp_path, desk_dataset,
+                                                  key, value, message):
+        path = tmp_path / "desk.csv"
+        write_dataset(*desk_dataset, path)
+        sidecar = json.loads(meta_path(path).read_text())
+        sidecar[key] = value
+        meta_path(path).write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match=re.escape(f"meta.json: {message}")):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("columns, message", [
+        (slice(1, -1), "first column x=1000 m is not the pipe inlet x=0 m"),
+        (slice(1, None), "first column x=1000 m is not the pipe inlet x=0 m"),
+        (slice(0, -1), "last column x=49000 m is not the pipe outlet x=50000 m"),
+    ], ids=["both_ends_cropped", "first_cropped", "last_cropped"])
+    def test_grid_not_spanning_the_pipe_named(self, tmp_path, desk_dataset, columns,
+                                              message):
+        field, meta = desk_dataset
+        cropped = FieldGrid(xs=field.xs[columns], ts=field.ts, P=field.P[:, columns],
+                            v=field.v[:, columns])
+        path = tmp_path / "desk.csv"
+        write_dataset(cropped, meta, path)
+        with pytest.raises(ConfigError, match=re.escape(f"desk.csv: {message} "
+                                                        "(within 0.5 m)")):
+            read_dataset(path)
+
+    def test_end_columns_within_half_a_metre_accepted(self, tmp_path, desk_dataset):
+        field, meta = desk_dataset
+        xs = field.xs.copy()
+        xs[0], xs[-1] = 0.4, meta.pipe.length - 0.4
+        path = tmp_path / "desk.csv"
+        write_dataset(FieldGrid(xs=xs, ts=field.ts, P=field.P, v=field.v), meta, path)
+        assert np.array_equal(read_dataset(path)[0].xs, xs)
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path, fluid, pipe):

@@ -213,9 +213,9 @@ class TestLossTerms:
 class TestCoupledLoss:
     def test_weights_validation(self):
         with pytest.raises(DomainError):
-            LossWeights(-1.0, 1.0, 1.0, 1.0)
+            LossWeights(con=-1.0)
         with pytest.raises(DomainError):
-            LossWeights(0.0, 0.0, 0.0, 0.0)
+            LossWeights(mo=-1.0)
 
     def test_single_term_selection(self, coeffs, rng):
         scaler = InputScaler(0.0, 1.0, 0.0, 1.0)
@@ -243,7 +243,7 @@ class TestCoupledLoss:
             x_ic=rng.uniform(0.1, 0.9, 3), t_ic=np.zeros(3),
             P_ic=np.array([1.0, 0.9, 0.8]), v_ic=np.full(3, 0.5),
         )
-        objective = _objective("coupled", LossWeights(2.0, 3.0, 4.0, 5.0))
+        objective = {"bc": 2.0, "ic": 3.0, "con": 4.0, "mo": 5.0}
         total = fast_coupled_loss(_problem(colloc, spec, params, coeffs, objective))
         con, mo = _mean_sq_residuals(colloc, spec, params, coeffs)
         manual = (2 * _data_loss(colloc, "bc", spec, params, "paper")

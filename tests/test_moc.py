@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from hydropinn.moc import (
     run_details,
     sample,
 )
-from hydropinn.scenario import Offtake, PiecewiseSignal, Scenario
+from hydropinn.scenario import Offtake, PiecewiseSignal, Scenario, load_scenario
 
 from conftest import Q_START, Q_END, make_ramp_scenario
+
+DESK_SCENARIO = Path(__file__).resolve().parents[1] / "configs" / "desk_scenario.json"
 
 
 class TestBuildGrid:
@@ -202,17 +205,32 @@ class TestRun:
 
     def test_check_rows_screens_by_sum_and_searches_exactly(self):
         ts = np.arange(65) * 0.5
+        xs = np.arange(10) * 100.0
         big = np.full((65, 10), 1e308)  # finite, but its sum overflows
         zero = np.zeros((65, 10))
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_rows(big, zero, 1, 65, ts)
-            _check_rows(zero, big, 1, 65, ts)
+            _check_rows(big, zero, 1, 65, ts, xs)
+            _check_rows(zero, big, 1, 65, ts, xs)
             for nan_in in (0, 1):  # head, velocity
                 rows = [zero.copy(), zero.copy()]
                 rows[nan_in][40, 3] = np.nan
                 with pytest.raises(NumericalBlowupError, match=r"\(step 40, t=20\.000 s\)"):
-                    _check_rows(*rows, 1, 65, ts)
-                _check_rows(*rows, 41, 65, ts)  # the rows after it are finite
+                    _check_rows(*rows, 1, 65, ts, xs)
+                _check_rows(*rows, 41, 65, ts, xs)  # the rows after it are finite
+
+    def test_check_rows_names_the_first_negative_head(self):
+        ts = np.arange(65) * 0.5
+        xs = np.arange(10) * 100.0
+        H, V = np.ones((65, 10)), np.zeros((65, 10))
+        H[30, 7] = H[30, 4] = H[50, 1] = -2.0
+        with pytest.raises(DomainError, match=r"pressure below 0 MPa at x=400\.0 m, "
+                                              r"t=15\.000 s \(step 30\)"):
+            _check_rows(H, V, 1, 65, ts, xs)
+        _check_rows(H, V, 51, 65, ts, xs)  # the rows after them are positive
+        # a block that blows up reports the blow-up, wherever its heads went negative
+        V[40, 0] = np.inf
+        with pytest.raises(NumericalBlowupError, match=r"\(step 40,"):
+            _check_rows(H, V, 1, 65, ts, xs)
 
     def test_nan_state_rejected_by_step(self, fluid, pipe):
         grid = build_grid(pipe, fluid, 0.5)
@@ -220,6 +238,31 @@ class TestRun:
         V = np.zeros(grid.node_count)
         with pytest.raises(NumericalBlowupError):
             moc_step(H, V, 100.0, 0.0, grid.wave_speed / pipe.gravity, 0.0)
+
+
+class TestNegativePressure:
+    """A pressure below 0 MPa is column separation, outside the model: the
+    solver raises at the first step and node where it appears."""
+
+    def _desk_with_outlet(self, breakpoints):
+        desk = load_scenario(DESK_SCENARIO)
+        q0 = float(desk.outlet_flowrate(0.0))
+        return replace(desk, outlet_flowrate=PiecewiseSignal.from_breakpoints(
+            [[t, q0 * scale] for t, scale in breakpoints]))
+
+    def test_demand_surge_raises_at_the_first_negative_step(self):
+        # outlet demand raised to 1.5x over 100-130 s
+        surge = self._desk_with_outlet([[0.0, 1.0], [100.0, 1.0], [130.0, 1.5]])
+        with pytest.raises(DomainError, match=r"pressure below 0 MPa at x=50000\.0 m, "
+                                              r"t=152\.500 s \(step 305\)"):
+            run(surge, 0.5)
+        before = run(replace(surge, duration=152.0), 0.5)
+        assert before.P.min() >= 0.0
+
+    def test_closure_stays_valid(self):
+        # outlet shut over 100-110 s: a surge and a trough well above 0 MPa
+        field = run(self._desk_with_outlet([[0.0, 1.0], [100.0, 1.0], [110.0, 0.0]]), 0.5)
+        assert 0.9 < field.P.min() < 1.0
 
 
 def drawing_offtake_scenario(pipe, fluid):

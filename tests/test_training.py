@@ -26,12 +26,14 @@ from hydropinn.training import (
     train,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return TrainConfig(hidden_layers=2, width=8, stage_iterations=(40, 30, 60),
                        batch_size=32, seed=0, bc_loss_form="split",
-                       weights=LossWeights(1.0, 1.0, 1.0, 1.0))
+                       weights=LossWeights(1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +108,15 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = TrainConfig(baseline="pinn", hidden_layers=4, width=16,
                           iterations=500, seed=9,
-                          weights=LossWeights(1, 2, 3, 4))
+                          weights=LossWeights(3, 4))
         back = TrainConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    @pytest.mark.parametrize("baseline", training.BASELINES)
+    def test_shipped_config_loads_and_round_trips(self, baseline):
+        cfg = training.load_train_config(CONFIGS / f"{baseline}.json")
+        assert cfg.baseline == baseline
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_output_modes(self):
         assert output_mode_for("kih") == "pressure-velocity"
@@ -163,10 +171,11 @@ class TestStages:
         assert lines[0] == "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
         assert len(lines) == 1 + len(trace.rows)
 
-    def test_retention_warning_recorded(self, tiny_data):
+    def test_retention_warning_recorded(self, monkeypatch, tiny_data):
         # an absurdly tight retention factor flags any boundary-loss growth
+        monkeypatch.setattr(training, "BC_RETENTION_FACTOR", 1e-9)
         cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(30, 30, 0),
-                          batch_size=32, seed=0, bc_retention_factor=1e-9)
+                          batch_size=32, seed=0)
         _, _, trace = train(cfg, tiny_data)
         assert any("boundary loss" in w for w in trace.warnings)
 
@@ -174,21 +183,21 @@ class TestStages:
         """With zero physics weights stage three is exactly a joint data fit."""
         cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(20, 10, 0),
                           batch_size=32, seed=4,
-                          weights=LossWeights(1.0, 1.0, 0.0, 0.0))
+                          weights=LossWeights(0.0, 0.0))
         spec, p1, _ = train(cfg, tiny_data)
         start = params_flatten(p1)
 
         coupled, _ = _run_stage(3, "coupled", 50, cfg, spec, start.copy(),
-                                tiny_data, TrainTrace(), 0)
+                                tiny_data, TrainTrace(), 0, cfg.bc_loss_form)
         data_only, _ = _run_stage(3, "data", 50, cfg, spec, start.copy(),
-                                  tiny_data, TrainTrace(), 0)
+                                  tiny_data, TrainTrace(), 0, cfg.bc_loss_form)
         assert np.array_equal(coupled, data_only)
 
 
 class TestStageFailures:
-    def test_divergence_names_stage_iteration_and_terms(self, tiny_data):
-        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(5, 5, 5),
-                          divergence_threshold=1e-300)
+    def test_divergence_names_stage_iteration_and_terms(self, monkeypatch, tiny_data):
+        monkeypatch.setattr(training, "DIVERGENCE_THRESHOLD", 1e-300)
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(5, 5, 5))
         with pytest.raises(TrainingDivergedError) as info:
             train(cfg, tiny_data)
         message = str(info.value)
@@ -205,7 +214,8 @@ class TestStageFailures:
         theta = params_flatten(init_params(spec, 0))
         before = theta.copy()
         with pytest.raises(NumericalBlowupError) as info:
-            _run_stage(3, "coupled", 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 7)
+            _run_stage(3, "coupled", 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 7,
+                       tiny_cfg.bc_loss_form)
         message = str(info.value)
         assert message.startswith("stage 3 iteration 7: non-finite gradient")
         assert message.endswith("non-finite loss terms: none (gradient only)")
@@ -418,7 +428,7 @@ class TestOffObjectiveTerms:
         monkeypatch.setattr(training, "EVAL_EVERY", 10)
         spec, params = start
         _run_stage(1, kind, 25, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   TrainTrace(), 0)
+                   TrainTrace(), 0, tiny_cfg.bc_loss_form)
         # stage start, iterations 10 and 20; the stage-end evaluation computes
         # only the objective, which has physics terms in `coupled` alone
         evals = 4 if kind == "coupled" else 3
@@ -441,10 +451,11 @@ class TestOffObjectiveTerms:
                                                     params, 1)
         trace = TrainTrace()
         _run_stage(1, "bc", 20, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   trace, 0)
+                   trace, 0, tiny_cfg.bc_loss_form)
         # `params` after ten iterations: the values of the first refresh
         stepped = params_flatten(params)
-        _run_stage(1, "bc", 10, tiny_cfg, spec, stepped, tiny_data, TrainTrace(), 0)
+        _run_stage(1, "bc", 10, tiny_cfg, spec, stepped, tiny_data, TrainTrace(), 0,
+                   tiny_cfg.bc_loss_form)
         _, ic10, con10, mo10 = self._eval_set_values(tiny_cfg, tiny_data, spec,
                                                      params_views(spec, stepped), 1)
         for r in trace.rows[:10]:
@@ -460,7 +471,7 @@ class TestOffObjectiveTerms:
         spec, params = start
         trace = TrainTrace()
         _run_stage(2, "ic", 15, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   trace, 0)
+                   trace, 0, tiny_cfg.bc_loss_form)
         c = tiny_data.colloc
         y1, v = net_forward(spec, params, c.x_bc, c.t_bc)
         bc_first = float(np.mean((y1 - c.P_bc) ** 2))
