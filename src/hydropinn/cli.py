@@ -10,7 +10,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -128,7 +128,9 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     record = {"format": RUN_FORMAT, "config": cfg.to_dict(),
               "versions": {"hydropinn": __version__, "numpy": np.__version__,
                            "python": platform.python_version()},
-              "dataset": dataset, "warnings": trace.warnings}
+              "dataset": dataset,
+              "stages": [asdict(s) for s in trace.stage_summaries],
+              "warnings": trace.warnings}
     run_path.write_text(json.dumps(record, indent=2) + "\n")
     for w in trace.warnings:
         click.echo(f"warning: {w}", err=True)

@@ -185,7 +185,7 @@ def _mean_sq(r):
 def data_misfit(P_pred, v_pred, P_obs, v_obs, form: str):
     """Eq-style data loss: averaged-residual ('paper') or per-variable sum ('split')."""
     if form not in BC_LOSS_FORMS:
-        raise ConfigError(f"unknown bc_loss_form {form!r}")
+        raise ConfigError(f"unknown data-loss form {form!r}; expected one of {BC_LOSS_FORMS}")
     e1 = P_pred - P_obs
     e2 = v_pred - v_obs
     if form == "paper":

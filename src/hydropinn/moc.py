@@ -212,30 +212,32 @@ def run(scenario: Scenario, dt: float = 0.5) -> FieldGrid:
 
 
 def _check_rows(H_out, V_out, j0: int, j1: int, ts, xs) -> None:
-    """Raise at the first step among rows j0..j1-1 with a non-finite value
-    (`NumericalBlowupError`), else at the first step and node with a negative
-    head, that is a pressure below 0 MPa (`DomainError`).
+    """Raise at the first step among rows j0..j1-1 that is non-finite
+    (`NumericalBlowupError`) or holds a negative head, that is a pressure
+    below 0 MPa (`DomainError`, naming the step's first such node).
 
-    Any non-finite value makes its rows' sum non-finite, so one sum over the
-    head rows and one over the velocity rows clear a finite block. Only a
-    non-finite sum runs the exact per-row search, which alone decides: a
-    finite block whose sum overflows raises nothing. A block that blows up
-    reports the blow-up, even where a pressure in it fell below zero first,
-    as a runaway explicit friction term swings through negative heads. A
-    finite block is then screened for a negative head by one min.
+    One sum over the head rows, one over the velocity rows and one min over
+    the head rows clear a valid block: any non-finite value makes its rows'
+    sum non-finite. A block that fails a screen runs the exact per-row
+    search, which alone decides: a finite block whose sum overflows raises
+    nothing. The earliest failing row decides the category, so the error
+    does not depend on where the block boundaries fall.
     """
-    H = H_out[j0:j1]
-    if not (np.isfinite(H.sum()) and np.isfinite(V_out[j0:j1].sum())):
-        bad = ~(np.isfinite(H).all(axis=1) & np.isfinite(V_out[j0:j1]).all(axis=1))
-        if bad.any():
-            j = j0 + int(np.argmax(bad))
-            raise NumericalBlowupError("non-finite head or velocity after MOC step "
-                                       f"(step {j}, t={ts[j]:.3f} s)", step=j)
-    if H.min() < 0.0:
-        k, i = divmod(int(np.argmax(H < 0.0)), H.shape[1])
-        j = j0 + k
-        raise DomainError(f"pressure below 0 MPa at x={xs[i]:.1f} m, t={ts[j]:.3f} s "
-                          f"(step {j}): column separation, which the model does not cover")
+    H, V = H_out[j0:j1], V_out[j0:j1]
+    if np.isfinite(H.sum()) and np.isfinite(V.sum()) and H.min() >= 0.0:
+        return
+    finite = np.isfinite(H).all(axis=1) & np.isfinite(V).all(axis=1)
+    failing = ~finite | (H < 0.0).any(axis=1)
+    if not failing.any():
+        return
+    k = int(np.argmax(failing))
+    j = j0 + k
+    if not finite[k]:
+        raise NumericalBlowupError("non-finite head or velocity after MOC step "
+                                   f"(step {j}, t={ts[j]:.3f} s)", step=j)
+    i = int(np.argmax(H[k] < 0.0))
+    raise DomainError(f"pressure below 0 MPa at x={xs[i]:.1f} m, t={ts[j]:.3f} s "
+                      f"(step {j}): column separation, which the model does not cover")
 
 
 def run_details(scenario: Scenario, dt: float = 0.5):
@@ -245,11 +247,10 @@ def run_details(scenario: Scenario, dt: float = 0.5):
     one workspace for the run. Stepping goes in blocks of CHECK_ROWS rows,
     and after each block, while its rows are still in cache:
 
-    1. `_check_rows` checks its finiteness, screening it with one sum over
-       its head rows and one over its velocity rows, and reports the first
-       non-finite step, as a check after every step would report it; a
-       finite block is then checked for a pressure below 0 MPa with one min
-       over its head rows;
+    1. `_check_rows` screens it with one sum over its head rows, one over
+       its velocity rows and one min over its head rows, and reports the
+       first step that is non-finite or has a pressure below 0 MPa, as a
+       check after every step would report it;
     2. the head rows the block finished are converted to pressure in place.
        The last row stays in head as the next step's input.
 

@@ -3,12 +3,13 @@
 Every baseline is a schedule of stages, `(stage_id, kind, iterations,
 form)`, run by one stage loop. A stage kind names an ordered
 `{term: weight}` objective over the loss terms bc, ic, con and mo. `kih`
-runs three stages: `bc` fits the boundary data (split per-variable loss)
-from a random initialization, `ic` the initial-condition data, and
-`coupled` the full weighted coupled loss, each starting from the previous
-stage's parameters. `pinn` runs one `coupled` stage with head-channel
-outputs and the unconverted residual operators; `dnn` runs one `data`
-stage (boundary plus initial data, standard per-variable MSE).
+runs three stages: `bc` fits the boundary data from a random
+initialization, `ic` the initial-condition data, and `coupled` the full
+weighted coupled loss, each starting from the previous stage's parameters.
+`pinn` runs one `coupled` stage with head-channel outputs, the unconverted
+residual operators and the printed (`paper`) data loss; `dnn` runs one
+`data` stage (boundary plus initial data). Every other stage fits the
+per-variable `split` data loss; the schedule alone fixes each stage's form.
 
 Parameters live in one contiguous float64 buffer for the whole run.
 Tape-free forwards and the returned `params` are per-layer (W, b) views
@@ -33,6 +34,7 @@ the same `{family: rows}` map ('bc', 'ic', and 'f' for con and mo).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +43,6 @@ import numpy as np
 from .config import count, list_of, nested, number, optional, read_object, text
 from .errors import ConfigError, DomainError, NumericalBlowupError, TrainingDivergedError
 from .losses import (
-    BC_LOSS_FORMS,
     CollocationSet,
     LossWeights,
     PhysicsCoefficients,
@@ -86,7 +87,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    bc_loss_form: str = "paper"
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -106,8 +106,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.bc_loss_form not in BC_LOSS_FORMS:
-            raise ConfigError(f"bc_loss_form must be one of {BC_LOSS_FORMS}")
 
     @property
     def total_iterations(self) -> int:
@@ -128,7 +126,6 @@ class TrainConfig:
             "learning_rate": self.learning_rate,
             "seed": self.seed,
             "weights": {"con": self.weights.con, "mo": self.weights.mo},
-            "bc_loss_form": self.bc_loss_form,
         }
 
     @classmethod
@@ -137,7 +134,7 @@ class TrainConfig:
         kwargs = read_object(d, "", {
             "baseline": text, "stage_iterations": list_of(count),
             "iterations": optional(count), "batch_size": count,
-            "learning_rate": number, "seed": count, "bc_loss_form": text,
+            "learning_rate": number, "seed": count,
             "network": nested({"hidden_layers": count, "width": count}),
             "weights": nested({"con": number, "mo": number}),
         })
@@ -202,9 +199,19 @@ class TraceRow:
 
 @dataclass
 class StageSummary:
+    """One stage as it ran. `objective_end` is the best objective seen, that
+    of the parameters the stage handed on; `best_iteration` is the trace
+    iteration whose update gave them, None when the start parameters stayed
+    best. `seconds` is the stage's wall time."""
+
     stage: int
     objective_start: float
     objective_end: float
+    kind: str
+    form: str
+    iterations: int
+    best_iteration: int | None
+    seconds: float
 
 
 @dataclass
@@ -383,6 +390,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     than `BC_RETENTION_FACTOR`, and a batch objective that is not finite or
     exceeds `DIVERGENCE_THRESHOLD` raises `TrainingDivergedError`.
     """
+    started = time.perf_counter()
     batchers, eval_rows = _stage_rows(cfg, data, stage_id)
     objective = _objective(kind, cfg.weights)
     families = {TERM_FAMILY[name] for name in objective}
@@ -392,7 +400,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     held = _eval_terms(spec, params, c, coeffs, eval_rows, form)
     bc_before = held["bc"]
     start_obj = best_obj = _weighted_sum(objective, held)
-    best = theta.copy()
+    best, best_it = theta.copy(), None
     adam = AdamState.zeros(theta.size)
 
     for k in range(iterations):
@@ -437,16 +445,13 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
             held.update(_eval_terms(spec, params, c, coeffs, sets, form))
             obj = _weighted_sum(objective, held)
             if obj < best_obj:
-                best_obj = obj
+                best_obj, best_it = obj, it
                 best[:] = theta
         if log_every and (k + 1) % log_every == 0:
             log(f"stage {stage_id} iter {k + 1}/{iterations} "
                 f"total={total:.4e} bc={row['bc']:.4e} ic={row['ic']:.4e} "
                 f"con={row['con']:.4e} mo={row['mo']:.4e}")
 
-    trace.stage_summaries.append(
-        StageSummary(stage=stage_id, objective_start=start_obj,
-                     objective_end=best_obj))
     if kind == "ic":
         bc_after = _eval_terms(spec, params_views(spec, best), c, coeffs,
                                {"bc": eval_rows["bc"]}, form)["bc"]
@@ -456,6 +461,10 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                 f"{bc_after / max(bc_before, 1e-300):.1f}x "
                 f"(from {bc_before:.3e} to {bc_after:.3e})"
             )
+    trace.stage_summaries.append(StageSummary(
+        stage=stage_id, objective_start=start_obj, objective_end=best_obj, kind=kind,
+        form=form, iterations=iterations, best_iteration=best_it,
+        seconds=time.perf_counter() - started))
     return best, start_iteration + iterations
 
 
@@ -473,9 +482,9 @@ def _schedule(cfg: TrainConfig) -> list:
     if cfg.baseline == "kih":
         n_bc, n_ic, n_coupled = cfg.stage_iterations
         return [(1, "bc", n_bc, "split"), (2, "ic", n_ic, "split"),
-                (3, "coupled", n_coupled, cfg.bc_loss_form)]
+                (3, "coupled", n_coupled, "split")]
     if cfg.baseline == "pinn":
-        return [(1, "coupled", cfg.total_iterations, cfg.bc_loss_form)]
+        return [(1, "coupled", cfg.total_iterations, "paper")]
     return [(1, "data", cfg.total_iterations, "split")]
 
 

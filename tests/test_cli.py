@@ -45,7 +45,6 @@ def tiny_train_config(tmp_path_factory):
         "batch_size": 32,
         "learning_rate": 1e-4,
         "seed": 0,
-        "bc_loss_form": "split",
     }
     path = d / "tiny_kih.json"
     path.write_text(json.dumps(cfg))
@@ -172,10 +171,11 @@ class TestConfigKeys:
          "unknown key 'weights.bc'"),
         ("train", lambda d: d.update(weights={"ic": 1.0, "mo": 10.0}),
          "unknown key 'weights.ic'"),
+        ("train", lambda d: d.update(bc_loss_form="split"), "unknown key 'bc_loss_form'"),
     ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
             "lr_decay", "divergence_threshold", "bc_retention_factor", "adam",
             "activation", "zero_hidden_layers", "zero_width", "negative_weight",
-            "weights_bc", "weights_ic"])
+            "weights_bc", "weights_ic", "bc_loss_form"])
     def test_unknown_key_or_bad_value_is_config_error(
             self, kind, edit, key, tiny_scenario_file, tiny_train_config,
             tiny_dataset, tmp_path, capsys):
@@ -358,6 +358,21 @@ class TestTrainEvalCompare:
         assert record["dataset"] == {
             "csv_sha256": hashlib.sha256(tiny_dataset.read_bytes()).hexdigest(),
             "meta_sha256": hashlib.sha256(meta_path(tiny_dataset).read_bytes()).hexdigest()}
+        # one object per stage of the kih schedule, with the form it ran
+        stages = record["stages"]
+        assert [(s["stage"], s["kind"], s["form"], s["iterations"]) for s in stages] == [
+            (1, "bc", "split", 20), (2, "ic", "split", 10), (3, "coupled", "split", 30)]
+        first = 0
+        for s in stages:
+            assert set(s) == {"stage", "kind", "form", "iterations", "best_iteration",
+                              "objective_start", "objective_end", "seconds"}
+            assert s["objective_end"] <= s["objective_start"] and s["seconds"] > 0.0
+            if s["best_iteration"] is None:
+                assert s["objective_end"] == s["objective_start"]
+            else:
+                assert first <= s["best_iteration"] < first + s["iterations"]
+                assert s["objective_end"] < s["objective_start"]
+            first += s["iterations"]
 
     def test_divergence_is_numeric_error(self, monkeypatch, tiny_train_config, tiny_dataset,
                                          tmp_path, capsys):

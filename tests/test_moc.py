@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hydropinn import moc
 from hydropinn.errors import DomainError, GridError, NumericalBlowupError
 from hydropinn.hydraulics import (
     PipelineSpec,
@@ -33,6 +34,7 @@ from hydropinn.scenario import Offtake, PiecewiseSignal, Scenario, load_scenario
 from conftest import Q_START, Q_END, make_ramp_scenario
 
 DESK_SCENARIO = Path(__file__).resolve().parents[1] / "configs" / "desk_scenario.json"
+CLOSURE10_SCENARIO = DESK_SCENARIO.with_name("closure10_scenario.json")
 
 
 class TestBuildGrid:
@@ -174,20 +176,18 @@ class TestRun:
         assert q_in == pytest.approx(Q_START + 0.01, rel=0.02)
         assert field.v[-1, -1] == pytest.approx(Q_START / area, rel=1e-6)
 
-    def test_blowup_reports_step(self, fluid, pipe):
+    def test_blowup_reports_step(self, monkeypatch, fluid, pipe):
         # unphysical flow demand (v ~ 200 m/s) makes the explicit friction
-        # term diverge within a few steps of the jump: at t = 0 in the first
-        # block of CHECK_ROWS steps, at t = 40 s in the second
-        for breakpoints, step in (([[0.0, Q_START], [1.0, 10.0]], 13),
-                                  ([[0.0, Q_START], [40.0, Q_START], [41.0, 10.0]], 93)):
+        # term diverge within a few steps of the jump, but the outlet head
+        # goes negative first, at the jump: t = 0.5 s in the first block of
+        # 64 steps, t = 40.5 s in the second. The first failing step decides
+        # the error, whatever the block size.
+        for breakpoints, step in (([[0.0, Q_START], [1.0, 10.0]], 1),
+                                  ([[0.0, Q_START], [40.0, Q_START], [41.0, 10.0]], 81)):
             sc = Scenario(pipe=pipe, fluid=fluid, duration=100.0,
                           inlet_pressure=PiecewiseSignal.constant(5.0),
                           outlet_flowrate=PiecewiseSignal.from_breakpoints(breakpoints))
-            with pytest.raises(NumericalBlowupError) as exc_info:
-                run(sc, 0.5)
-            assert exc_info.value.step == step
-            assert f"(step {step}, t={step * 0.5:.3f} s)" in str(exc_info.value)
-            # the first step that a loop of moc_step makes non-finite
+            # the first step that a loop of moc_step takes below 0 MPa, at the outlet
             start, grid, frozen = run_details(replace(sc, duration=0.0), 0.5)
             ts = np.arange(201) * 0.5
             inlet = pressure_to_head(sc.inlet_pressure(ts), fluid.density, frozen.gravity)
@@ -196,12 +196,17 @@ class TestRun:
             V = start.v[0]
             B = grid.wave_speed / frozen.gravity
             R = frozen.friction_factor * 0.5 / (2.0 * frozen.diameter)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(1, step):
-                    H, V = moc_step(H, V, inlet[j], outlet[j], B, R)
-                with pytest.raises(NumericalBlowupError):
-                    moc_step(H, V, inlet[step], outlet[step], B, R)
-        assert step > CHECK_ROWS  # the last scenario's step lies past the first block
+            j = 0
+            while H.min() >= 0.0:
+                j += 1
+                H, V = moc_step(H, V, inlet[j], outlet[j], B, R)
+            assert (j, int(np.argmax(H < 0.0))) == (step, H.size - 1)
+            for check_rows in (1, 8, 64):
+                monkeypatch.setattr(moc, "CHECK_ROWS", check_rows)
+                with pytest.raises(DomainError, match=rf"below 0 MPa at x=50000\.0 m, "
+                                                      rf"t={step / 2:.3f} s \(step {step}\)"):
+                    run(sc, 0.5)
+        assert step > 64  # the last scenario's step lies past the first block of 64
 
     def test_check_rows_screens_by_sum_and_searches_exactly(self):
         ts = np.arange(65) * 0.5
@@ -227,10 +232,24 @@ class TestRun:
                                               r"t=15\.000 s \(step 30\)"):
             _check_rows(H, V, 1, 65, ts, xs)
         _check_rows(H, V, 51, 65, ts, xs)  # the rows after them are positive
-        # a block that blows up reports the blow-up, wherever its heads went negative
+        # the earliest failing row decides: a later non-finite row does not
+        # turn the negative head into a blow-up
         V[40, 0] = np.inf
-        with pytest.raises(NumericalBlowupError, match=r"\(step 40,"):
+        with pytest.raises(DomainError, match=r"\(step 30\)"):
             _check_rows(H, V, 1, 65, ts, xs)
+        with pytest.raises(NumericalBlowupError, match=r"\(step 40,"):
+            _check_rows(H, V, 31, 65, ts, xs)
+
+    def test_check_rows_reports_a_non_finite_row_before_a_negative_head(self):
+        ts = np.arange(65) * 0.5
+        xs = np.arange(10) * 100.0
+        for bad in (np.nan, np.inf, -np.inf):
+            H, V = np.ones((65, 10)), np.zeros((65, 10))
+            H[30, 4] = bad
+            H[31:, :] = -2.0  # negative heads from the next step on
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(NumericalBlowupError, match=r"\(step 30, t=15\.000 s\)"):
+                    _check_rows(H, V, 1, 65, ts, xs)
 
     def test_nan_state_rejected_by_step(self, fluid, pipe):
         grid = build_grid(pipe, fluid, 0.5)
@@ -260,9 +279,20 @@ class TestNegativePressure:
         assert before.P.min() >= 0.0
 
     def test_closure_stays_valid(self):
-        # outlet shut over 100-110 s: a surge and a trough well above 0 MPa
-        field = run(self._desk_with_outlet([[0.0, 1.0], [100.0, 1.0], [110.0, 0.0]]), 0.5)
-        assert 0.9 < field.P.min() < 1.0
+        # the bundled closure10 scenario: the desk outlet flow shut from
+        # 154 m^3/h to 0 over 100-110 s surges to 3.0146 MPa at the outlet,
+        # and no pressure falls below the steady outlet pressure before it
+        closure = load_scenario(CLOSURE10_SCENARIO)
+        q0 = float(load_scenario(DESK_SCENARIO).outlet_flowrate(0.0))
+        assert q0 * 3600.0 == pytest.approx(154.0)
+        assert closure.outlet_flowrate.breakpoints() == [[0.0, q0], [100.0, q0], [110.0, 0.0],
+                                                         [600.0, 0.0]]
+        field = run(closure, 0.5)
+        j, i = np.unravel_index(np.argmax(field.P), field.P.shape)
+        assert field.P[j, i] == pytest.approx(3.0146, abs=5e-5)
+        assert (field.xs[i], field.ts[j]) == (pytest.approx(50_000.0), 184.0)
+        assert field.P.min() == pytest.approx(0.9724, abs=5e-5)
+        assert field.P.min() == pytest.approx(field.P[0, -1], rel=1e-12)
 
 
 def drawing_offtake_scenario(pipe, fluid):

@@ -32,8 +32,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return TrainConfig(hidden_layers=2, width=8, stage_iterations=(40, 30, 60),
-                       batch_size=32, seed=0, bc_loss_form="split",
-                       weights=LossWeights(1.0, 1.0))
+                       batch_size=32, seed=0, weights=LossWeights(1.0, 1.0))
+
+
+def _form(cfg, stage_id):
+    """The data-loss form the baseline's schedule gives stage `stage_id`."""
+    return _schedule(cfg)[stage_id - 1][3]
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +98,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(baseline="mlp")
 
-    def test_bad_form(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(bc_loss_form="mean")
-
     def test_iterations_on_kih_rejected(self):
         # kih runs stage_iterations; an `iterations` key used to be ignored
         with pytest.raises(ConfigError, match="iterations"):
@@ -118,6 +118,16 @@ class TestConfig:
         assert cfg.baseline == baseline
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_schedule_fixes_each_baseline_data_loss_form(self):
+        # kih and dnn fit the per-variable form in every stage, pinn the
+        # printed averaged-residual form; no config setting changes it
+        forms = {baseline: [form for *_, form in _schedule(TrainConfig(baseline=baseline))]
+                 for baseline in training.BASELINES}
+        assert forms == {"kih": ["split"] * 3, "pinn": ["paper"], "dnn": ["split"]}
+        for baseline in training.BASELINES:
+            shipped = training.load_train_config(CONFIGS / f"{baseline}.json")
+            assert [form for *_, form in _schedule(shipped)] == forms[baseline]
+
     def test_output_modes(self):
         assert output_mode_for("kih") == "pressure-velocity"
         assert output_mode_for("pinn") == "head-velocity"
@@ -134,12 +144,22 @@ class TestStages:
             assert np.array_equal(w, wr)
             assert np.array_equal(b, br)
         assert trace.rows == []
+        # each stage ran, kept its start parameters and names no best iteration
+        assert [(s.stage, s.kind, s.form, s.iterations, s.best_iteration)
+                for s in trace.stage_summaries] == [
+            (1, "bc", "split", 0, None), (2, "ic", "split", 0, None),
+            (3, "coupled", "split", 0, None)]
 
     def test_stage_handoff_never_worse(self, tiny_cfg, tiny_data):
         _, _, trace = train(tiny_cfg, tiny_data)
-        assert [s.stage for s in trace.stage_summaries] == [1, 2, 3]
+        assert [(s.stage, s.kind, s.iterations) for s in trace.stage_summaries] == [
+            (1, "bc", 40), (2, "ic", 30), (3, "coupled", 60)]
         for s in trace.stage_summaries:
             assert s.objective_end <= s.objective_start
+            # the kept parameters are those after the update of a trace row
+            # of this stage, or the stage's start parameters
+            assert s.best_iteration is None or \
+                trace.rows[s.best_iteration].stage == s.stage
 
     def test_determinism_bitwise(self, tiny_cfg, tiny_data):
         spec1, params1, trace1 = train(tiny_cfg, tiny_data)
@@ -188,9 +208,9 @@ class TestStages:
         start = params_flatten(p1)
 
         coupled, _ = _run_stage(3, "coupled", 50, cfg, spec, start.copy(),
-                                tiny_data, TrainTrace(), 0, cfg.bc_loss_form)
+                                tiny_data, TrainTrace(), 0, _form(cfg, 3))
         data_only, _ = _run_stage(3, "data", 50, cfg, spec, start.copy(),
-                                  tiny_data, TrainTrace(), 0, cfg.bc_loss_form)
+                                  tiny_data, TrainTrace(), 0, _form(cfg, 3))
         assert np.array_equal(coupled, data_only)
 
 
@@ -215,7 +235,7 @@ class TestStageFailures:
         before = theta.copy()
         with pytest.raises(NumericalBlowupError) as info:
             _run_stage(3, "coupled", 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 7,
-                       tiny_cfg.bc_loss_form)
+                       _form(tiny_cfg, 3))
         message = str(info.value)
         assert message.startswith("stage 3 iteration 7: non-finite gradient")
         assert message.endswith("non-finite loss terms: none (gradient only)")
@@ -235,8 +255,7 @@ class TestBaselines:
 
     def test_pinn_head_loss_dominates_velocity_loss(self, tiny_data):
         cfg = TrainConfig(baseline="pinn", hidden_layers=2, width=8,
-                          iterations=150, batch_size=32, seed=0,
-                          bc_loss_form="paper")
+                          iterations=150, batch_size=32, seed=0)
         _, _, trace = train(cfg, tiny_data)
         row = trace.rows[100]
         assert row.bc_first >= 10.0 * row.bc_velocity
@@ -275,7 +294,7 @@ class TestGradientValidity:
             problem = AdCheckProblem(spec=spec, params=params, colloc=sub,
                                      coeffs=tiny_data.coeffs,
                                      objective=_objective("coupled", cfg.weights),
-                                     form=cfg.bc_loss_form)
+                                     form=_form(cfg, 3))
             report = run_adcheck(problem, h=1e-4, tolerance=1e-5)
             assert report.passed, report.summary()
 
@@ -428,7 +447,7 @@ class TestOffObjectiveTerms:
         monkeypatch.setattr(training, "EVAL_EVERY", 10)
         spec, params = start
         _run_stage(1, kind, 25, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   TrainTrace(), 0, tiny_cfg.bc_loss_form)
+                   TrainTrace(), 0, _form(tiny_cfg, 1))
         # stage start, iterations 10 and 20; the stage-end evaluation computes
         # only the objective, which has physics terms in `coupled` alone
         evals = 4 if kind == "coupled" else 3
@@ -451,11 +470,11 @@ class TestOffObjectiveTerms:
                                                     params, 1)
         trace = TrainTrace()
         _run_stage(1, "bc", 20, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   trace, 0, tiny_cfg.bc_loss_form)
+                   trace, 0, _form(tiny_cfg, 1))
         # `params` after ten iterations: the values of the first refresh
         stepped = params_flatten(params)
         _run_stage(1, "bc", 10, tiny_cfg, spec, stepped, tiny_data, TrainTrace(), 0,
-                   tiny_cfg.bc_loss_form)
+                   _form(tiny_cfg, 1))
         _, ic10, con10, mo10 = self._eval_set_values(tiny_cfg, tiny_data, spec,
                                                      params_views(spec, stepped), 1)
         for r in trace.rows[:10]:
@@ -471,7 +490,7 @@ class TestOffObjectiveTerms:
         spec, params = start
         trace = TrainTrace()
         _run_stage(2, "ic", 15, tiny_cfg, spec, params_flatten(params), tiny_data,
-                   trace, 0, tiny_cfg.bc_loss_form)
+                   trace, 0, _form(tiny_cfg, 2))
         c = tiny_data.colloc
         y1, v = net_forward(spec, params, c.x_bc, c.t_bc)
         bc_first = float(np.mean((y1 - c.P_bc) ** 2))
