@@ -13,21 +13,22 @@ the tape-free forward kernel (`net_forward`, and `forward_with_input_tangents`
 through `residuals`); only the final weighted sum is shared.
 
 A probe changes one parameter, so the layers before it give the same rows
-on every probe. Before probing, `run_adcheck` builds a `ForwardCache` of the
-data points (bc then ic) and one of the collocation points under the
-unperturbed parameters; each probe's forwards resume from them at the
-perturbed layer, with the same arithmetic as a full forward. The caches
-keep the raw points they were built for, so a probe passes the data
-cache's joined bc+ic points instead of joining them again, and they own
-the block buffers each resumed forward reuses, so a probe allocates only
-its outputs. A check's caches are its own and serve its probes one at a
-time.
+on every probe. The problem therefore builds, under its unperturbed
+parameters, everything a probe reads: a `ForwardCache` of the data points
+(bc then ic), those points' targets joined in the same order and converted
+once, and, when the objective has physics terms, a `ForwardCache` of the
+collocation points. Each probe's forwards resume from the caches at the
+perturbed layer, with the same arithmetic as a full forward. The probe
+passes the data cache's joined bc+ic points and reads their rows of the
+targets, and the caches own the block buffers each resumed forward
+reuses, so a probe allocates only its outputs. A problem's caches are its
+own and serve its probes one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .losses import (CollocationSet, PhysicsCoefficients, _mean_sq,
                      _observed_first_channel, data_misfit)
 from .network import (ForwardCache, InputScaler, NetSpec, forward_cache, init_params,
                       params_flatten, params_views)
-from .training import (TERM_FAMILY, _batch_terms, _family, _make_spec, _objective,
-                       _schedule, _weighted_sum)
+from .training import (TERM_FAMILY, _batch_terms, _make_spec, _objective, _schedule,
+                       _weighted_sum)
 
 DEFAULT_FLUID = FluidSpec(density=850.0, kinematic_viscosity=5.2e-6,
                           bulk_modulus=1.5e9)
@@ -65,9 +66,21 @@ class AdCheckProblem:
     coeffs: PhysicsCoefficients
     objective: dict  # {term: weight}, as `training._objective` builds it
     form: str
-    # the probe's forward caches (`run_adcheck`); None evaluates in full
-    data_cache: ForwardCache | None = None
-    colloc_cache: ForwardCache | None = None
+    # what a probe reads, built under the params the problem is made with
+    data_cache: ForwardCache = field(init=False)  # the bc then ic points
+    targets: tuple = field(init=False)  # (first channel, velocity) of those points
+    colloc_cache: ForwardCache | None = field(init=False)  # None without con or mo
+
+    def __post_init__(self):
+        c = self.colloc
+        self.data_cache = forward_cache(self.spec, self.params,
+                                        np.concatenate([c.x_bc, c.x_ic]),
+                                        np.concatenate([c.t_bc, c.t_ic]), tangents=False)
+        self.targets = (_observed_first_channel(np.concatenate([c.P_bc, c.P_ic]),
+                                                self.spec, self.coeffs),
+                        np.concatenate([c.v_bc, c.v_ic]))
+        self.colloc_cache = (forward_cache(self.spec, self.params, c.x_f, c.t_f, tangents=True)
+                             if "con" in self.objective or "mo" in self.objective else None)
 
 
 def build_problem(spec: NetSpec, coeffs: PhysicsCoefficients,
@@ -107,39 +120,22 @@ def taped_coupled_gradient(problem: AdCheckProblem):
     return params_views(p.spec, grad)
 
 
-def _data_points(colloc: CollocationSet):
-    """The bc then ic points, which the probe runs as one forward."""
-    return (np.concatenate([colloc.x_bc, colloc.x_ic]),
-            np.concatenate([colloc.t_bc, colloc.t_ic]))
-
-
-def _has_physics(objective) -> bool:
-    return "con" in objective or "mo" in objective
-
-
 def fast_coupled_loss(problem: AdCheckProblem) -> float:
     """The problem's objective evaluated tape-free, with the two data-family
     forward passes fused into one call (the fd probe runs this tens of
-    thousands of times), each forward resuming from the problem's cache
-    when it has one; the fused data points are then the data cache's own,
-    joined once per check."""
+    thousands of times), each forward resuming from the problem's caches."""
     # imported per call, so a wrapper on the defining module sees these calls
     from .losses import residuals
     from .network import net_forward
 
-    p, c = problem, problem.colloc
-    cache = p.data_cache
-    x, t = _data_points(c) if cache is None else (cache.x, cache.t)
-    y1, v = net_forward(p.spec, p.params, x, t, cache=cache)
-    nb = c.n_bc
-    terms = {}
-    for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None))):
-        _, _, P, v_obs = _family(c, family)
-        terms[family] = data_misfit(y1[rows], v[rows],
-                                    _observed_first_channel(P, p.spec, p.coeffs),
-                                    v_obs, p.form)
-    if _has_physics(p.objective):
-        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, c.x_f, c.t_f,
+    p, cache = problem, problem.data_cache
+    y1, v = net_forward(p.spec, p.params, cache.x, cache.t, cache=cache)
+    obs, v_obs = p.targets
+    nb = p.colloc.n_bc
+    terms = {family: data_misfit(y1[rows], v[rows], obs[rows], v_obs[rows], p.form)
+             for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None)))}
+    if p.colloc_cache is not None:
+        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, p.colloc.x_f, p.colloc.t_f,
                                 cache=p.colloc_cache)
         terms["con"], terms["mo"] = _mean_sq(g_con), _mean_sq(g_mo)
     return _weighted_sum(p.objective, terms)
@@ -147,18 +143,11 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
 
 def run_adcheck(problem: AdCheckProblem, coord_seed: int = 0,
                 **fd_kwargs) -> FdReport:
-    """fd_check of the taped gradient against the probe, whose forwards
-    resume from caches built here under the unperturbed parameters;
-    `fd_kwargs` (h, tolerance, order, max_coordinates) go to `fd_check`,
-    which owns their defaults."""
+    """fd_check of the taped gradient against the probe; `fd_kwargs` (h,
+    tolerance, order, max_coordinates) go to `fd_check`, which owns their
+    defaults."""
     grad = taped_coupled_gradient(problem)
-    p, c = problem, problem.colloc
-    colloc_cache = (forward_cache(p.spec, p.params, c.x_f, c.t_f, tangents=True)
-                    if _has_physics(p.objective) else None)
-    probed = replace(p, colloc_cache=colloc_cache,
-                     data_cache=forward_cache(p.spec, p.params, *_data_points(c),
-                                              tangents=False))
-    return fd_check(lambda: fast_coupled_loss(probed), grad, problem.params,
+    return fd_check(lambda: fast_coupled_loss(problem), grad, problem.params,
                     rng=np.random.default_rng(coord_seed), **fd_kwargs)
 
 

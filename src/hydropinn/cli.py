@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .adcheck import adcheck_from_config
 from .dataset import DatasetMeta, meta_path, read_dataset, write_dataset
-from .errors import HydropinnError
+from .errors import HydropinnError, NumericalBlowupError, TrainingDivergedError
 from .metrics import compare as compare_models
 from .moc import export_grid, run_details, sample
 from .network import load_checkpoint, save_checkpoint
@@ -119,19 +119,27 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     dataset = {"csv_sha256": _sha256(dataset_path),
                "meta_sha256": _sha256(meta_path(dataset_path))}
     data = TrainingData.from_dataset(field, meta)
-    spec, params, trace = train(cfg, data, log_every=log_every, log=click.echo)
     out = _resolve_output(obj, output)
-    save_checkpoint(out, spec, params, label=cfg.baseline)
     trace_path = Path(str(out) + ".trace.csv")
-    trace.write_csv(trace_path)
     run_path = Path(str(out) + ".run.json")
     record = {"format": RUN_FORMAT, "config": cfg.to_dict(),
               "versions": {"hydropinn": __version__, "numpy": np.__version__,
                            "python": platform.python_version()},
-              "dataset": dataset,
-              "stages": [asdict(s) for s in trace.stage_summaries],
-              "warnings": trace.warnings}
-    run_path.write_text(json.dumps(record, indent=2) + "\n")
+              "dataset": dataset}
+
+    def write_record(trace, error=None):
+        trace.write_csv(trace_path)
+        record.update(stages=[asdict(s) for s in trace.stage_summaries],
+                      warnings=trace.warnings, error=error)
+        run_path.write_text(json.dumps(record, indent=2) + "\n")
+
+    try:
+        spec, params, trace = train(cfg, data, log_every=log_every, log=click.echo)
+    except (TrainingDivergedError, NumericalBlowupError) as exc:
+        write_record(exc.trace, f"{exc.category}: {exc}")
+        raise
+    save_checkpoint(out, spec, params, label=cfg.baseline)
+    write_record(trace)
     for w in trace.warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(f"wrote checkpoint {out}, trace {trace_path} and run record {run_path}")

@@ -39,13 +39,10 @@ class NumericalBlowupError(HydropinnError):
 
 
 class TrainingDivergedError(HydropinnError):
-    """Training loss exceeded the divergence threshold; carries the trace."""
+    """Training loss exceeded the divergence threshold; `train` attaches the
+    partial trace as `.trace`."""
 
     category = "numeric"
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class ConfigError(HydropinnError):

@@ -25,7 +25,9 @@ the first layer whose parameters changed, as the adcheck probe's
 one-parameter perturbations allow. It also owns the block buffers such a
 resumed forward runs in, so the forward checks the points by value,
 neither normalizes them nor allocates anything but its output, and one
-cache serves one caller at a time.
+cache serves one caller at a time. `forward_cache` fills it by running
+`_layers` through those same blocks once, each hidden layer writing into
+the next layer's input rows; nothing else writes them.
 """
 
 from __future__ import annotations
@@ -272,18 +274,17 @@ class _Block(NamedTuple):
     mask: np.ndarray | None
 
 
-def _blocks(spec: NetSpec, n: int, kinds: int, inputs=None, keep: bool = False) -> list:
+def _blocks(spec: NetSpec, n: int, kinds: int, inputs=None) -> list:
     """The `_Block`s of n points with `kinds` row kinds, as views of one set
     of buffers that every block reuses, sized for BLOCK_ROWS points so a
     block's buffers stay cache-sized. Each hidden layer writes into one of
     two row buffers that alternate between layers, the output layer into
     its own, and the first layer reads a buffer of its own. Given `inputs`,
     one array per layer in the `ForwardCache` layout, each layer reads the
-    block's rows there instead and, with `keep`, each hidden layer writes
-    them there too, in place of the alternating buffers."""
+    block's rows there instead."""
     rows, n_hidden = min(n, BLOCK_ROWS), spec.hidden_layers
     a = np.empty((kinds * rows, 2)) if inputs is None else None
-    bufs = None if keep else np.empty((2, kinds * rows, spec.width))
+    bufs = np.empty((2, kinds * rows, spec.width))
     s = np.empty((rows, spec.width))
     tmp = np.empty_like(s)
     mask = np.empty(s.shape, dtype=bool) if kinds == 3 else None
@@ -296,8 +297,8 @@ def _blocks(spec: NetSpec, n: int, kinds: int, inputs=None, keep: bool = False) 
             ins = [a[:k]]
         else:
             ins = [arr[kinds * lo:kinds * lo + k] for arr in inputs]
-        zs = ins[1:] if keep else [bufs[li % 2, :k] for li in range(n_hidden)]
-        blocks.append(_Block(lo, m, ins, zs + [y[:k]], [s[:m]] * n_hidden, tmp[:m],
+        zs = [bufs[li % 2, :k] for li in range(n_hidden)] + [y[:k]]
+        blocks.append(_Block(lo, m, ins, zs, [s[:m]] * n_hidden, tmp[:m],
                              None if mask is None else mask[:m]))
     return blocks
 
@@ -339,19 +340,24 @@ class ForwardCache:
 
 
 def forward_cache(spec: NetSpec, params: NetParams, x, t, tangents: bool) -> ForwardCache:
-    """The `ForwardCache` of these points and row kinds under `params`, from
-    one blocked forward."""
+    """The `ForwardCache` of these points and row kinds under `params`: one
+    `_layers` run per block of the cache's own blocks, each hidden layer
+    writing its rows into the next layer's input array."""
     x, t = np.array(x, dtype=float), np.array(t, dtype=float)
     kinds = 3 if tangents else 1
     inputs = [np.empty((kinds * x.size, n_in)) for n_in, _ in spec.layer_dims]
-    _forward(spec, params, x, t, tangents, keep=inputs)
+    blocks = _blocks(spec, x.size, kinds, inputs)
+    points = _stack_inputs(spec, x, t)
+    for lo, m, ins, zs, ss, tmp, mask in blocks:
+        _input_rows(spec, ins[0], points[lo:lo + m])
+        _layers(spec, params, ins[0], m, ins[1:] + zs[-1:], ss, tmp, mask)
     return ForwardCache(x=x, t=t, kinds=kinds,
                         params=[(w.tobytes(), b.tobytes()) for w, b in params],
-                        blocks=_blocks(spec, x.size, kinds, inputs))
+                        blocks=blocks)
 
 
 def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool,
-             cache: ForwardCache | None = None, keep=None) -> np.ndarray:
+             cache: ForwardCache | None = None) -> np.ndarray:
     """The network over the points, as a fresh array out[channel, row kind,
     point].
 
@@ -364,15 +370,13 @@ def _forward(spec: NetSpec, params: NetParams, x, t, tangents: bool,
     `resume_layer`, reading that layer's input rows from the cache: the
     layers before it have the cached (W, b), so they would give the same
     rows again. Such a forward neither normalizes the points nor allocates
-    anything but `out`. Given `keep` (`forward_cache`), one array per layer
-    in the cache's layout, each layer writes its input rows there instead
-    of to the alternating buffers.
+    anything but `out`.
     """
     kinds = 3 if tangents else 1
     if cache is None:
         points = _stack_inputs(spec, x, t)
         n, start = points.shape[0], 0
-        blocks = _blocks(spec, n, kinds, keep, keep is not None)
+        blocks = _blocks(spec, n, kinds)
     else:
         n, start = cache.x.size, cache.resume_layer(params, x, t, kinds)
         blocks = cache.blocks

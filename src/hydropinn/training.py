@@ -296,7 +296,6 @@ def _stage_rows(cfg: TrainConfig, data: TrainingData, stage_id: int):
     return batchers, eval_rows
 
 
-LOSS_TERMS = ("bc", "ic", "con", "mo")
 TERM_FAMILY = {"bc": "bc", "ic": "ic", "con": "f", "mo": "f"}  # point family each term reads
 
 
@@ -388,7 +387,9 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     `EVAL_EVERY` iterations. The stage-end evaluation computes only the
     objective. An `ic` stage warns when it grew the boundary loss by more
     than `BC_RETENTION_FACTOR`, and a batch objective that is not finite or
-    exceeds `DIVERGENCE_THRESHOLD` raises `TrainingDivergedError`.
+    exceeds `DIVERGENCE_THRESHOLD` raises `TrainingDivergedError`. That
+    check comes first, so a non-finite gradient's `NumericalBlowupError`
+    names the stage, the iteration and the (finite) batch objective.
     """
     started = time.perf_counter()
     batchers, eval_rows = _stage_rows(cfg, data, stage_id)
@@ -417,9 +418,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
             raise TrainingDivergedError(
                 f"stage {stage_id} diverged at iteration {it}: loss={total:.4g} "
                 f"(bc={row['bc']:.4g}, ic={row['ic']:.4g}, con={row['con']:.4g}, "
-                f"mo={row['mo']:.4g})",
-                trace=trace,
-            )
+                f"mo={row['mo']:.4g})")
 
         (grad,) = theta_var.tape.gradients(loss_var, [theta_var])
         # free this iteration's tape before the next one records its forwards
@@ -427,10 +426,8 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         try:
             adam_step(theta, grad, adam, cfg.learning_rate)
         except NumericalBlowupError as exc:
-            bad = [name for name in LOSS_TERMS if not np.isfinite(row[name])]
             raise NumericalBlowupError(
-                f"stage {stage_id} iteration {it}: {exc}; "
-                f"non-finite loss terms: {bad or 'none (gradient only)'}"
+                f"stage {stage_id} iteration {it}: {exc}; batch objective {total:.4g}"
             ) from exc
 
         trace.rows.append(TraceRow(
@@ -490,14 +487,20 @@ def _schedule(cfg: TrainConfig) -> list:
 
 def train(cfg: TrainConfig, data: TrainingData, log_every: int = 0, log=print):
     """Run the baseline's stage schedule from a seeded initialization;
-    returns (spec, params, trace), params viewing the run's flat buffer."""
+    returns (spec, params, trace), params viewing the run's flat buffer. A
+    `TrainingDivergedError` or `NumericalBlowupError` leaves with the
+    partial trace attached as `.trace`."""
     spec = _make_spec(cfg, data.scaler)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     theta = params_flatten(init_params(spec, rng))
     trace = TrainTrace()
     it = 0
-    for stage_id, kind, iterations, form in _schedule(cfg):
-        best, it = _run_stage(stage_id, kind, iterations, cfg, spec, theta, data,
-                              trace, it, form, log_every, log)
-        theta[:] = best
+    try:
+        for stage_id, kind, iterations, form in _schedule(cfg):
+            best, it = _run_stage(stage_id, kind, iterations, cfg, spec, theta, data,
+                                  trace, it, form, log_every, log)
+            theta[:] = best
+    except (TrainingDivergedError, NumericalBlowupError) as exc:
+        exc.trace = trace
+        raise
     return spec, params_views(spec, theta), trace

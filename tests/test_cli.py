@@ -11,6 +11,7 @@ import pytest
 import hydropinn
 from conftest import write_checkpoint_meta
 from hydropinn import training
+from hydropinn.autodiff.tape import Tape
 from hydropinn.cli import main
 from hydropinn.dataset import meta_path, read_dataset
 from hydropinn.training import TrainConfig, TrainingData, load_train_config
@@ -352,6 +353,7 @@ class TestTrainEvalCompare:
         ran = replace(load_train_config(tiny_train_config), seed=3)
         assert TrainConfig.from_dict(record["config"]) == ran
         assert isinstance(record["warnings"], list)
+        assert record["error"] is None
         assert record["versions"] == {"hydropinn": hydropinn.__version__,
                                       "numpy": np.__version__,
                                       "python": platform.python_version()}
@@ -376,12 +378,47 @@ class TestTrainEvalCompare:
 
     def test_divergence_is_numeric_error(self, monkeypatch, tiny_train_config, tiny_dataset,
                                          tmp_path, capsys):
+        """The failed run writes its trace and run record, naming the error,
+        but no checkpoint."""
         monkeypatch.setattr(training, "DIVERGENCE_THRESHOLD", 1e-300)
-        code = main(["train", str(tiny_train_config), str(tiny_dataset), "-o",
-                     str(tmp_path / "m.npz"), "--log-every", "0"])
+        out = tmp_path / "m.npz"
+        code = main(["train", str(tiny_train_config), str(tiny_dataset), "-o", str(out),
+                     "--log-every", "0"])
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: numeric: stage 1 diverged at iteration 0")
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: stage 1 diverged at iteration 0")
+        assert not out.exists()
+        record = json.loads((tmp_path / "m.npz.run.json").read_text())
+        assert record["error"] == err.strip().removeprefix("error: ")
+        assert record["stages"] == [] and record["warnings"] == []
+        assert TrainConfig.from_dict(record["config"]) == load_train_config(tiny_train_config)
+        trace = (tmp_path / "m.npz.trace.csv").read_text()
+        assert trace == "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total\n"
+
+    def test_blowup_record_keeps_the_completed_stages(self, monkeypatch, tiny_train_config,
+                                                      tiny_dataset, tmp_path, capsys):
+        """A non-finite gradient in stage 2 (after stage 1's 20 iterations)
+        leaves stage 1's summary and trace rows in the record."""
+        gradients, calls = Tape.gradients, []
+
+        def failing(self, loss, wrt):
+            calls.append(None)
+            grads = gradients(self, loss, wrt)
+            return [np.full_like(g, np.nan) for g in grads] if len(calls) > 20 else grads
+
+        monkeypatch.setattr(Tape, "gradients", failing)
+        out = tmp_path / "m.npz"
+        code = main(["train", str(tiny_train_config), str(tiny_dataset), "-o", str(out),
+                     "--log-every", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: stage 2 iteration 20: non-finite gradient")
+        assert not out.exists()
+        record = json.loads((tmp_path / "m.npz.run.json").read_text())
+        assert record["error"] == err.strip().removeprefix("error: ")
+        assert [(s["stage"], s["kind"]) for s in record["stages"]] == [(1, "bc")]
+        rows = (tmp_path / "m.npz.trace.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["1", str(i)] for i in range(20)]
 
     def test_out_dir_redirect(self, tiny_train_config, tiny_dataset, tmp_path):
         code = main(["--out-dir", str(tmp_path / "sub"), "train",

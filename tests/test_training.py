@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -238,8 +239,27 @@ class TestStageFailures:
                        _form(tiny_cfg, 3))
         message = str(info.value)
         assert message.startswith("stage 3 iteration 7: non-finite gradient")
-        assert message.endswith("non-finite loss terms: none (gradient only)")
+        assert re.fullmatch(r".*; batch objective \S+", message)
         assert np.array_equal(theta, before)
+
+    @pytest.mark.parametrize("kind", ["bc", "coupled"])
+    def test_gradient_blowup_names_only_the_batch_objective(self, monkeypatch, tiny_cfg,
+                                                            tiny_data, kind):
+        """Eval-set terms outside the stage objective are no part of its
+        gradient, so a non-finite one goes unnamed in the blow-up message."""
+        monkeypatch.setattr(Tape, "gradients", lambda self, loss, wrt: [
+            np.full_like(v.value, np.nan) for v in wrt])
+        monkeypatch.setattr(training, "residuals", lambda spec, params, coeffs, x, t: (
+            np.full(np.size(x), np.inf), np.full(np.size(x), np.inf)))
+        spec = _make_spec(tiny_cfg, tiny_data.scaler)
+        theta = params_flatten(init_params(spec, 0))
+        with pytest.raises(NumericalBlowupError) as info:
+            _run_stage(1, kind, 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 0,
+                       _form(tiny_cfg, 1))
+        objective = re.fullmatch(
+            r"stage 1 iteration 0: non-finite gradient in Adam step; batch objective (\S+)",
+            str(info.value)).group(1)
+        assert np.isfinite(float(objective))
 
 
 class TestBaselines:
@@ -326,10 +346,9 @@ class TestGradientValidity:
 
     @pytest.mark.parametrize("baseline", ["kih", "dnn"])
     def test_cached_probes_equal_full_evaluations(self, monkeypatch, baseline):
-        """`run_adcheck` hands the probe the forward caches of the unperturbed
-        parameters (none for the collocation points of an objective without
-        physics terms), and every probed loss equals the loss evaluated in
-        full, bitwise."""
+        """Every probed loss, resumed from the caches of the unperturbed
+        parameters, equals the loss of a problem built at the perturbed
+        parameters, whose caches are full forwards, bitwise."""
         from dataclasses import replace
 
         import hydropinn.adcheck
@@ -340,9 +359,8 @@ class TestGradientValidity:
 
         def compared(problem):
             value = loss_fn(problem)
-            assert problem.data_cache is not None
-            assert (problem.colloc_cache is not None) == (baseline == "kih")
-            assert value == loss_fn(replace(problem, data_cache=None, colloc_cache=None))
+            fresh = replace(problem, params=[(w.copy(), b.copy()) for w, b in problem.params])
+            assert value == loss_fn(fresh)
             probes.append(value)
             return value
 
@@ -353,6 +371,42 @@ class TestGradientValidity:
                                      coord_seed=2)
         assert report.passed, report.summary()
         assert len(probes) == 4 * 40
+
+    @pytest.mark.parametrize("baseline", ["kih", "dnn"])
+    def test_problem_builds_what_a_probe_reads(self, baseline):
+        """A problem holds the data cache over its bc-then-ic points, their
+        converted first-channel and velocity targets in that order, and a
+        collocation cache exactly when the objective has con or mo."""
+        from dataclasses import replace
+
+        from hydropinn.adcheck import AdCheckProblem, build_problem, default_coefficients
+        from hydropinn.losses import _observed_first_channel
+
+        cfg = training.load_train_config(CONFIGS / f"{baseline}.json")
+        cfg = replace(cfg, hidden_layers=2, width=8)
+        _, kind, _, form = _schedule(cfg)[-1]
+        spec = _make_spec(cfg, InputScaler(0.0, 50_000.0, 0.0, 600.0))
+        built = build_problem(spec, default_coefficients(), _objective(kind, cfg.weights),
+                              form, 6, seed=1)
+        p = AdCheckProblem(spec=spec, params=built.params, colloc=built.colloc,
+                           coeffs=built.coeffs, objective=built.objective, form=form)
+        c = p.colloc
+        assert np.array_equal(p.data_cache.x, np.concatenate([c.x_bc, c.x_ic]))
+        assert np.array_equal(p.data_cache.t, np.concatenate([c.t_bc, c.t_ic]))
+        assert p.data_cache.kinds == 1
+        assert p.data_cache.resume_layer(p.params, p.data_cache.x, p.data_cache.t, 1) \
+            == len(p.params) - 1
+        obs, v_obs = p.targets
+        assert np.array_equal(obs, _observed_first_channel(
+            np.concatenate([c.P_bc, c.P_ic]), spec, p.coeffs))
+        assert np.array_equal(v_obs, np.concatenate([c.v_bc, c.v_ic]))
+        physics = "con" in p.objective or "mo" in p.objective
+        assert physics == (baseline == "kih")
+        assert (p.colloc_cache is None) == (not physics)
+        if physics:
+            assert np.array_equal(p.colloc_cache.x, c.x_f)
+            assert np.array_equal(p.colloc_cache.t, c.t_f)
+            assert p.colloc_cache.kinds == 3
 
     @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
     def test_adcheck_sums_the_last_stage_objective(self, monkeypatch, baseline):
