@@ -19,10 +19,11 @@ parameters, everything a probe reads: a `ForwardCache` of the data points
 once, and, when the objective has physics terms, a `ForwardCache` of the
 collocation points. Each probe's forwards resume from the caches at the
 perturbed layer, with the same arithmetic as a full forward. The probe
-passes the data cache's joined bc+ic points and reads their rows of the
-targets, and the caches own the block buffers each resumed forward
-reuses, so a probe allocates only its outputs. A problem's caches are its
-own and serve its probes one at a time.
+passes each cache its own points, which the cache accepts without
+comparing values, and reads the data points' rows of the targets. The
+caches own the block buffers each resumed forward reuses, so a probe
+allocates only its outputs. A problem's caches are its own and serve its
+probes one at a time.
 """
 
 from __future__ import annotations
@@ -128,15 +129,15 @@ def fast_coupled_loss(problem: AdCheckProblem) -> float:
     from .losses import residuals
     from .network import net_forward
 
-    p, cache = problem, problem.data_cache
+    p, cache, f_cache = problem, problem.data_cache, problem.colloc_cache
     y1, v = net_forward(p.spec, p.params, cache.x, cache.t, cache=cache)
     obs, v_obs = p.targets
     nb = p.colloc.n_bc
     terms = {family: data_misfit(y1[rows], v[rows], obs[rows], v_obs[rows], p.form)
              for family, rows in (("bc", slice(None, nb)), ("ic", slice(nb, None)))}
-    if p.colloc_cache is not None:
-        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, p.colloc.x_f, p.colloc.t_f,
-                                cache=p.colloc_cache)
+    if f_cache is not None:
+        g_mo, g_con = residuals(p.spec, p.params, p.coeffs, f_cache.x, f_cache.t,
+                                cache=f_cache)
         terms["con"], terms["mo"] = _mean_sq(g_con), _mean_sq(g_mo)
     return _weighted_sum(p.objective, terms)
 

@@ -1,15 +1,18 @@
-"""Reverse-mode tape over float64 numpy arrays.
+"""Reverse-mode tape over numpy arrays.
 
 Every node is (parent indices, backward): `backward(adjoint)` returns the
-parents' adjoints in parent order; a leaf has no backward. One reverse
-sweep adds each reached node's returned adjoints into its parents'. Var
-operators record the elementwise loss nodes and do not broadcast a Var
-operand; indexing takes int and slice keys only. A whole network forward
-is one node with a hand-derived backward (`network.taped_forward`) that
-carries the input tangents, so PDE residual losses backpropagate to the
-parameters through the tangent computation itself -- forward-over-reverse
-without nested tapes. Its one parent is the leaf over the flat parameter
-buffer, so a gradient is one flat vector.
+parents' adjoints in parent order; a leaf has no backward. A leaf keeps
+its floating dtype; every other node's value, and so every adjoint, is
+float64. One reverse sweep adds each reached node's returned adjoints
+into its parents'. Var operators record the elementwise loss nodes and
+do not broadcast a Var operand; indexing takes int and slice keys only.
+A whole network forward is one node with a hand-derived backward
+(`network.taped_forward`) that carries the input tangents, so PDE
+residual losses backpropagate to the parameters through the tangent
+computation itself -- forward-over-reverse without nested tapes. Its one
+parent is the leaf over the flat parameter buffer, so a gradient is one
+flat vector; it computes in that leaf's dtype (float32 in training) and
+returns its output and gradient as float64.
 
 Training records each iteration on a fresh tape and drops it once the
 gradient is taken; a Var recorded on another tape is rejected.
@@ -104,8 +107,13 @@ class Tape:
         return len(self._nodes)
 
     def leaf(self, value) -> Var:
-        """Record an input (parameter) node that will receive an adjoint."""
-        return self.node((), value, None)
+        """Record an input (parameter) node that will receive an adjoint; a
+        floating value keeps its dtype, any other is taken as float64."""
+        value = np.asarray(value)
+        if value.dtype.kind != "f":
+            value = value.astype(float)
+        self._nodes.append(((), None))
+        return Var(self, len(self._nodes) - 1, value)
 
     def node(self, parents, value, backward) -> Var:
         """Record `value`, computed from the Vars `parents`; `backward(adjoint)`
@@ -128,5 +136,5 @@ class Tape:
             # adjoints are never mutated in place, so sharing views is safe
             for p, grad in zip(parents, backward(adj[idx])):
                 adj[p] = grad if adj[p] is None else adj[p] + grad
-        return [np.zeros_like(v.value) if adj[v.index] is None else adj[v.index]
+        return [np.zeros(v.shape) if adj[v.index] is None else adj[v.index]
                 for v in wrt]

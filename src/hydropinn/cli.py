@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict, replace
@@ -24,9 +25,10 @@ from .metrics import compare as compare_models
 from .moc import export_grid, run_details, sample
 from .network import load_checkpoint, save_checkpoint
 from .scenario import load_scenario
-from .training import TrainingData, load_train_config, train
+from .training import TAPED_FORWARD_DTYPE, TrainingData, load_train_config, train
 
 RUN_FORMAT = "hydropinn-run/1"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @click.group()
@@ -50,6 +52,20 @@ def _resolve_output(ctx_obj, path) -> Path:
         base.mkdir(parents=True, exist_ok=True)
         out = base / out
     return out
+
+
+def _numerics() -> dict:
+    """What sets a run's floating-point results beyond its config and data:
+    the BLAS numpy was built against, the thread-count variables as the
+    process saw them (None when unset), and the dtype of training's taped
+    network forward."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = {}
+    return {"blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var) for var in THREAD_VARIABLES},
+            "taped_forward_dtype": np.dtype(TAPED_FORWARD_DTYPE).name}
 
 
 def _sha256(path) -> str:
@@ -125,7 +141,7 @@ def train_cmd(obj, config_path, dataset_path, output, log_every):
     record = {"format": RUN_FORMAT, "config": cfg.to_dict(),
               "versions": {"hydropinn": __version__, "numpy": np.__version__,
                            "python": platform.python_version()},
-              "dataset": dataset}
+              "numerics": _numerics(), "dataset": dataset}
 
     def write_record(trace, error=None):
         trace.write_csv(trace_path)

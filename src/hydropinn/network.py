@@ -16,16 +16,18 @@ the points in cache-sized blocks over two alternating row buffers, for
 evaluation, eval-set objectives and the adcheck probe. `taped_forward`
 hands in fresh per-layer arrays, which it keeps for the reverse, and
 records the whole forward as one tape node whose only parent is the leaf
-over the flat parameter buffer, for training gradients.
+over the flat parameter buffer, for training gradients; it computes in
+the leaf's dtype (float32 in training, float64 in the gradient check).
 
 A `ForwardCache` (`forward_cache`) keeps every layer's input rows over
 fixed points, the raw points themselves and the bytes of the (W, b) that
 made them; handed to the tape-free forward, it lets each block start at
 the first layer whose parameters changed, as the adcheck probe's
 one-parameter perturbations allow. It also owns the block buffers such a
-resumed forward runs in, so the forward checks the points by value,
-neither normalizes them nor allocates anything but its output, and one
-cache serves one caller at a time. `forward_cache` fills it by running
+resumed forward runs in, so the forward checks the points (the cache's
+own arrays at once, others by value), neither normalizes them nor
+allocates anything but its output, and one cache serves one caller at a
+time. `forward_cache` fills it by running
 `_layers` through those same blocks once, each hidden layer writing into
 the next layer's input rows; nothing else writes them.
 """
@@ -327,10 +329,12 @@ class ForwardCache:
 
     def resume_layer(self, params: NetParams, x, t, kinds: int) -> int:
         """The first layer whose (W, b) bytes differ from the cache's, or the
-        output layer when none do; a cache built for other points (compared
-        by value), row kinds or a net of other depth is a ValueError."""
-        if (kinds != self.kinds or len(params) != len(self.params)
-                or not (np.array_equal(x, self.x) and np.array_equal(t, self.t))):
+        output layer when none do; a cache built for other points, row kinds
+        or a net of other depth is a ValueError. The cache's own `x` and `t`
+        pass at once; other point arrays are compared by value."""
+        same_points = (x is self.x and t is self.t) or (
+            np.array_equal(x, self.x) and np.array_equal(t, self.t))
+        if kinds != self.kinds or len(params) != len(self.params) or not same_points:
             raise ValueError("forward cache was built for other points, row kinds or layers")
         last = len(params) - 1
         for li, ((w, b), (wb, bb)) in enumerate(zip(params[:last], self.params)):
@@ -430,26 +434,35 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
     s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off the next layer's A. It
     writes each layer's W_bar and b_bar into that layer's slice of one
     fresh flat gradient.
+
+    Precision: the node computes in the dtype of the leaf's value: its
+    (W, b) views, every row buffer of the forward and the reverse, the
+    points as they enter the first layer's rows and the incoming adjoint
+    take that dtype. The output enters the tape as float64 (`Tape.node`
+    casts it) and the flat gradient returns as float64. Training hands in
+    a float32 copy of its float64 parameter buffer; on a float64 leaf the
+    outputs are bitwise the tape-free forward's within one block.
     """
     theta = theta_var.value
+    dtype = theta.dtype
     params = params_views(spec, theta)
     points = _stack_inputs(spec, x, t)
     m = points.shape[0]
     rows = (3 if with_tangents else 1) * m
     use_softplus = spec.activation == "softplus"
-    a = np.empty((rows, 2))
+    a = np.empty((rows, 2), dtype)
     _input_rows(spec, a, points)
-    tmp, mask = np.empty((m, spec.width)), np.empty((m, spec.width), bool)
-    zs = [np.empty((rows, n_out)) for _, n_out in spec.layer_dims]
-    sigmoids = [np.empty((m, spec.width)) for _ in params[:-1]]
+    tmp, mask = np.empty((m, spec.width), dtype), np.empty((m, spec.width), bool)
+    zs = [np.empty((rows, n_out), dtype) for _, n_out in spec.layer_dims]
+    sigmoids = [np.empty((m, spec.width), dtype) for _ in params[:-1]]
     _layers(spec, params, a, m, zs, sigmoids, tmp, mask)
     inputs, y = [a] + zs[:-1], zs[-1]
 
     def backward(ybar):
         grad = np.empty_like(theta)
         grads = params_views(spec, grad)
-        abar, zbar = np.empty((rows, spec.width)), np.empty((rows, spec.width))
-        g = ybar
+        abar, zbar = np.empty((rows, spec.width), dtype), np.empty((rows, spec.width), dtype)
+        g = ybar.astype(dtype, copy=False)
         for li in range(len(params) - 1, -1, -1):
             np.matmul(inputs[li].T, g, out=grads[li][0])
             g[:m].sum(axis=0, out=grads[li][1])
@@ -473,7 +486,7 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
             else:
                 np.multiply(abar, s, out=zbar)
             g = zbar
-        return (grad,)
+        return (grad.astype(float, copy=False),)
 
     out = theta_var.tape.node((theta_var,), y, backward)
     if not with_tangents:

@@ -13,10 +13,14 @@ per-variable `split` data loss; the schedule alone fixes each stage's form.
 
 Parameters live in one contiguous float64 buffer for the whole run.
 Tape-free forwards and the returned `params` are per-layer (W, b) views
-into it. Each iteration records on a fresh tape whose only leaf is that
-buffer, so the reverse sweep returns one flat gradient that Adam applies
-to the buffer as one vector; the tape is dropped once the gradient is
-taken.
+into it. Each iteration records on a fresh tape whose only leaf is a
+`TAPED_FORWARD_DTYPE` (float32) copy of that buffer, so the network nodes
+run their forward and reverse in float32; the reverse sweep returns one
+float64 flat gradient that Adam applies to the buffer as one vector, and
+the tape is dropped once the gradient is taken. This is mixed precision
+with a float64 master copy (Micikevicius et al., ICLR 2018): the loss
+arithmetic after the network, Adam, the eval-set objective that picks
+the kept parameters and every tape-free forward stay float64.
 
 Each stage returns the best parameters seen on its own objective,
 evaluated on fixed eval sets at stage start, every `EVAL_EVERY` iterations
@@ -72,6 +76,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DIVERGENCE_THRESHOLD = 1e6  # a batch objective above this stops the run
 BC_RETENTION_FACTOR = 10.0  # an `ic` stage growing the boundary loss more warns
+TAPED_FORWARD_DTYPE = np.float32  # the dtype of each iteration's parameter leaf
 
 TRACE_CSV_HEADER = "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
 
@@ -406,7 +411,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
 
     for k in range(iterations):
         it = start_iteration + k
-        theta_var = Tape().leaf(theta)
+        theta_var = Tape().leaf(theta.astype(TAPED_FORWARD_DTYPE))
         rows = {f: b.next() for f, b in batchers.items() if f in families}
         terms, diagnostics = _batch_terms(spec, theta_var, c, coeffs, rows, form)
         loss_var = _weighted_sum(objective, terms)

@@ -342,8 +342,11 @@ class TestTrainEvalCompare:
         _, pb, _ = load_checkpoint(b)
         assert not np.array_equal(pa[0][0], pb[0][0])
 
-    def test_run_record_holds_the_config_that_ran(self, tiny_train_config, tiny_dataset,
-                                                   tmp_path):
+    def test_run_record_holds_the_config_that_ran(self, monkeypatch, tiny_train_config,
+                                                   tiny_dataset, tmp_path):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
         out = tmp_path / "seeded.npz"
         assert main(["--seed", "3", "train", str(tiny_train_config), str(tiny_dataset),
                      "-o", str(out), "--log-every", "0"]) == 0
@@ -357,6 +360,12 @@ class TestTrainEvalCompare:
         assert record["versions"] == {"hydropinn": hydropinn.__version__,
                                       "numpy": np.__version__,
                                       "python": platform.python_version()}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record["numerics"] == {
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": "4"},
+            "taped_forward_dtype": "float32"}
         assert record["dataset"] == {
             "csv_sha256": hashlib.sha256(tiny_dataset.read_bytes()).hexdigest(),
             "meta_sha256": hashlib.sha256(meta_path(tiny_dataset).read_bytes()).hexdigest()}

@@ -267,6 +267,26 @@ class TestForwardCache:
             forward_with_input_tangents(self.spec, params, x, nudged, cache=colloc)
 
 
+    def test_own_points_pass_without_a_value_comparison(self, monkeypatch):
+        """The cache's own `x` and `t` are accepted by identity; any other
+        arrays, equal ones included, are compared by value."""
+        params, x, t, (data, colloc) = self._case(32)
+        want = net_forward(self.spec, params, x, t)
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda *args: compared.append(args) or array_equal(*args))
+        for got, ref in zip(net_forward(self.spec, params, data.x, data.t, cache=data),
+                            want, strict=True):
+            assert np.array_equal(got, ref)
+        compared.clear()
+        assert data.resume_layer(params, data.x, data.t, 1) == len(params) - 1
+        assert colloc.resume_layer(params, colloc.x, colloc.t, 3) == len(params) - 1
+        assert compared == []
+        assert data.resume_layer(params, data.x, t.copy(), 1) == len(params) - 1
+        assert len(compared) == 2
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         spec = NetSpec(hidden_layers=4, width=12,

@@ -9,7 +9,7 @@ from hydropinn.dataset import DatasetMeta
 from hydropinn.autodiff.tape import Tape
 from hydropinn.errors import ConfigError, NumericalBlowupError, TrainingDivergedError
 from hydropinn.losses import LossWeights, data_misfit, residuals
-from hydropinn.moc import export_grid, sample
+from hydropinn.moc import export_grid, run_details, sample
 from hydropinn.network import (BLOCK_ROWS, InputScaler, init_params, net_forward,
                                params_flatten, params_views)
 from hydropinn.training import (
@@ -408,6 +408,21 @@ class TestGradientValidity:
             assert np.array_equal(p.colloc_cache.t, c.t_f)
             assert p.colloc_cache.kinds == 3
 
+    def test_probe_hands_each_cache_its_own_points(self, monkeypatch):
+        """The probe passes each cache the points it holds, which the cache
+        accepts without a value comparison."""
+        from hydropinn.adcheck import build_problem, default_coefficients, fast_coupled_loss
+
+        cfg = training.load_train_config(CONFIGS / "kih.json")
+        spec = _make_spec(cfg, InputScaler(0.0, 50_000.0, 0.0, 600.0))
+        p = build_problem(spec, default_coefficients(), _objective("coupled", cfg.weights),
+                          "split", 6, seed=1)
+        want = fast_coupled_loss(p)
+        compared = []
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(args))
+        assert fast_coupled_loss(p) == want
+        assert compared == []
+
     @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
     def test_adcheck_sums_the_last_stage_objective(self, monkeypatch, baseline):
         """Both sides of the check add their terms through the stage loop's
@@ -475,6 +490,96 @@ class TestTermFunctions:
         assert taped == training._eval_terms(spec, params_views(spec, theta), problem.colloc,
                                              problem.coeffs, rows, form)
         assert set(taped) == {"bc", "ic", "con", "mo", "bc_first", "bc_velocity"}
+
+
+@pytest.fixture(scope="module")
+def shipped_desk_data():
+    """Training data of the shipped desk scenario at the CLI's defaults
+    (MOC step 0.5 s, 1 km x 0.5 s export grid)."""
+    from hydropinn.scenario import load_scenario
+
+    scenario = load_scenario(CONFIGS / "desk_scenario.json")
+    field, grid, pipe = run_details(scenario, 0.5)
+    meta = DatasetMeta(pipe=pipe, fluid=scenario.fluid, wave_speed=grid.wave_speed,
+                       offtake_x=scenario.offtake.position)
+    return TrainingData.from_dataset(sample(field, *export_grid(pipe.length,
+                                                                scenario.duration)), meta)
+
+
+class TestFloat32TapedForward:
+    """Training records the network node on a float32 copy of the float64
+    parameter buffer. The tolerance was fixed before the change: on the
+    desk dataset at the seed-0 init, each batch term is within 1e-5
+    relative of the float64 node's and the flat gradient within 1e-5
+    relative L2 (measured 1.9e-9 to 2.1e-7 and 1.4e-7 to 3.4e-7)."""
+
+    @pytest.mark.parametrize("kind", ["bc", "ic", "data", "coupled"])
+    @pytest.mark.parametrize("baseline", ["kih", "pinn"])  # both output modes
+    def test_float32_leaf_within_tolerance_of_float64(self, shipped_desk_data, baseline,
+                                                      kind):
+        data = shipped_desk_data
+        cfg = training.load_train_config(CONFIGS / f"{baseline}.json")
+        form = _schedule(cfg)[-1][3]
+        spec = _make_spec(cfg, data.scaler)
+        theta = params_flatten(init_params(
+            spec, np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))))
+        objective = _objective(kind, cfg.weights)
+        batchers, _ = _stage_rows(cfg, data, 1)
+        rows = {f: batchers[f].next() for f in {training.TERM_FAMILY[n] for n in objective}}
+        results = {}
+        for dtype in (np.float64, np.float32):
+            leaf = Tape().leaf(theta.astype(dtype))
+            assert leaf.value.dtype == dtype
+            terms, diagnostics = training._batch_terms(spec, leaf, data.colloc, data.coeffs,
+                                                       rows, form)
+            (grad,) = leaf.tape.gradients(training._weighted_sum(objective, terms), [leaf])
+            assert grad.dtype == np.float64
+            values = {name: float(var.value) for name, var in terms.items()}
+            results[dtype] = ({**values, **diagnostics}, grad)
+        (want, g64), (got, g32) = results[np.float64], results[np.float32]
+        assert set(got) == set(want) >= set(objective)
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-5 * abs(value), name
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+        assert not np.array_equal(g32, g64)
+
+    def test_stage_loop_hands_the_node_a_float32_leaf(self, monkeypatch, tiny_data):
+        import hydropinn.losses
+
+        forward = hydropinn.losses.taped_forward
+        dtypes = []
+
+        def recorded(spec, theta_var, *args, **kwargs):
+            dtypes.append(theta_var.value.dtype)
+            return forward(spec, theta_var, *args, **kwargs)
+
+        monkeypatch.setattr(hydropinn.losses, "taped_forward", recorded)
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(3, 2, 4),
+                          batch_size=16)
+        _, params, _ = train(cfg, tiny_data)
+        # one node per family an iteration's objective reads: bc, ic, then bc+ic+f
+        assert dtypes == [np.dtype(np.float32)] * (3 + 2 + 4 * 3)
+        assert all(a.dtype == np.float64 for layer in params for a in layer)
+
+    @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
+    def test_adcheck_gradient_is_the_float64_node(self, baseline):
+        """The gradient check differentiates the float64 node: its taped
+        gradient is bitwise `_batch_terms` on a float64 leaf, summed by
+        `_weighted_sum`."""
+        from hydropinn.adcheck import build_problem, default_coefficients, \
+            taped_coupled_gradient
+
+        cfg = training.load_train_config(CONFIGS / f"{baseline}.json")
+        _, kind, _, form = _schedule(cfg)[-1]
+        spec = _make_spec(cfg, InputScaler(0.0, 50_000.0, 0.0, 600.0))
+        p = build_problem(spec, default_coefficients(), _objective(kind, cfg.weights),
+                          form, 32, seed=0)
+        leaf = Tape().leaf(params_flatten(p.params))
+        assert leaf.value.dtype == np.float64
+        rows = dict.fromkeys({training.TERM_FAMILY[n] for n in p.objective}, slice(None))
+        terms, _ = training._batch_terms(spec, leaf, p.colloc, p.coeffs, rows, form)
+        (want,) = leaf.tape.gradients(training._weighted_sum(p.objective, terms), [leaf])
+        assert np.array_equal(params_flatten(taped_coupled_gradient(p)), want)
 
 
 class TestOffObjectiveTerms:

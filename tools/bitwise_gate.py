@@ -34,7 +34,14 @@ offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
   blocks, and for a tiny kih net (2 hidden layers of width 8, the shipped
   config otherwise) with every one of its 114 coordinates probed, so that
   each layer is the resume layer of some probe, the output layer and the
-  first layer included, which a 50-coordinate draw often misses.
+  first layer included, which a 50-coordinate draw often misses;
+* the sha256 of the gradient that training's float32 path gives on the
+  shipped kih config's adcheck problem (32 points per family) at its
+  init parameters: `training._batch_terms` over all its points on a
+  float32 copy of the parameters as the leaf, summed by
+  `training._weighted_sum` with the coupled objective, as `_run_stage`
+  builds each iteration's gradient. The lines above check the same
+  problem's float64 gradient.
 """
 
 from __future__ import annotations
@@ -83,12 +90,14 @@ def main(argv) -> int:
     import hydropinn
     import hydropinn.adcheck
     from hydropinn.adcheck import adcheck_from_config
+    from hydropinn.autodiff.tape import Tape
     from hydropinn.dataset import DatasetMeta, read_dataset, write_dataset
     from hydropinn.moc import export_grid, run_details, sample
     from hydropinn.network import (forward_with_input_tangents, load_checkpoint, net_forward,
-                                   save_checkpoint)
+                                   params_flatten, save_checkpoint)
     from hydropinn.scenario import Offtake, PiecewiseSignal, load_scenario
-    from hydropinn.training import TrainingData, load_train_config, train
+    from hydropinn.training import (TERM_FAMILY, TrainingData, _batch_terms, _weighted_sum,
+                                    load_train_config, train)
 
     if not Path(hydropinn.__file__).resolve().is_relative_to(root):
         print(f"hydropinn imported from {hydropinn.__file__}, not {root}", file=sys.stderr)
@@ -144,11 +153,19 @@ def main(argv) -> int:
             print(f"{baseline} {fn.__name__} "
                   f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
                   f"({xg.size} points)")
-    grads, losses = [], []
+    grads, float32_grads, losses = [], [], []
     taped_gradient = hydropinn.adcheck.taped_coupled_gradient
     probe_loss = hydropinn.adcheck.fast_coupled_loss
 
+    def float32_leaf_gradient(p):
+        theta_var = Tape().leaf(params_flatten(p.params).astype(np.float32))
+        rows = dict.fromkeys({TERM_FAMILY[name] for name in p.objective}, slice(None))
+        terms, _ = _batch_terms(p.spec, theta_var, p.colloc, p.coeffs, rows, p.form)
+        return theta_var.tape.gradients(_weighted_sum(p.objective, terms), [theta_var])[0]
+
     def capture_gradient(problem):
+        # before the probes, which perturb the problem's params in place
+        float32_grads.append(float32_leaf_gradient(problem))
         grads.append(taped_gradient(problem))
         return grads[-1]
 
@@ -164,6 +181,7 @@ def main(argv) -> int:
     for name, baseline, overrides, n_points, max_coordinates in checks:
         cfg = replace(load_train_config(root / "configs" / f"{baseline}.json"), **overrides)
         grads.clear()
+        float32_grads.clear()
         losses.clear()
         report = adcheck_from_config(cfg, n_points=n_points, order=4,
                                      max_coordinates=max_coordinates, coord_seed=7)
@@ -172,6 +190,9 @@ def main(argv) -> int:
         print(f"{name} adcheck gradient {_digest(params_bytes(grad))}")
         print(f"{name} adcheck probes {_digest(struct.pack('<d', v) for v in losses)} "
               f"({len(losses)} values)")
+        if name == "kih":
+            print(f"kih adcheck problem float32-leaf gradient "
+                  f"{_digest([float32_grads[0].tobytes()])}")
     return 0
 
 
