@@ -75,7 +75,7 @@ class PipelineSpec:
     @property
     def area(self) -> float:
         """Cross-sectional flow area, m^2."""
-        return math.pi * self.diameter**2 / 4.0
+        return flow_area(self.diameter)
 
     def with_friction(self, f: float) -> "PipelineSpec":
         return replace(self, friction_factor=f)
@@ -117,18 +117,28 @@ def pressure_to_head(pressure, density: float, gravity: float = GRAVITY):
     return np.multiply(pressure, 1e6 / (density * gravity))
 
 
-def velocity_to_flowrate(velocity, diameter: float):
-    """Velocity [m/s] -> volumetric flowrate [m^3/s] through a circular pipe."""
+def flow_area(diameter: float) -> float:
+    """Area pi*D^2/4 [m^2] of a circular pipe; a diameter that is not
+    positive or whose area overflows is a domain error."""
     if diameter <= 0:
         raise DomainError("diameter must be strictly positive")
-    return np.multiply(velocity, math.pi * diameter**2 / 4.0)
+    try:
+        area = math.pi * diameter**2 / 4.0
+    except OverflowError:
+        area = math.inf
+    if not math.isfinite(area):
+        raise DomainError(f"the flow area of diameter {diameter:g} m overflows")
+    return area
+
+
+def velocity_to_flowrate(velocity, diameter: float):
+    """Velocity [m/s] -> volumetric flowrate [m^3/s] through a circular pipe."""
+    return np.multiply(velocity, flow_area(diameter))
 
 
 def flowrate_to_velocity(flowrate, diameter: float):
     """Flowrate [m^3/s] -> mean velocity [m/s]."""
-    if diameter <= 0:
-        raise DomainError("diameter must be strictly positive")
-    return np.divide(flowrate, math.pi * diameter**2 / 4.0)
+    return np.divide(flowrate, flow_area(diameter))
 
 
 def friction_factor(fluid: FluidSpec, velocity: float, diameter: float) -> float:

@@ -17,7 +17,8 @@ values deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,15 +65,26 @@ class PhysicsCoefficients:
             raise ConfigError("pipe friction factor must be frozen before training")
         g = pipe.gravity
         rho_g = fluid.density * g / 1e6
-        return cls(
+        try:
+            a2 = wave_speed**2
+        except OverflowError:
+            a2 = math.inf
+        coeffs = cls(
             gravity=g,
             rho_g_over_1e6=rho_g,
-            rho_a2_over_1e6=fluid.density * wave_speed**2 / 1e6,
+            rho_a2_over_1e6=fluid.density * a2 / 1e6,
             friction_pv=f * rho_g / (2.0 * pipe.diameter),
-            a2_over_g=wave_speed**2 / g,
+            a2_over_g=a2 / g,
             friction_hv=f / (2.0 * pipe.diameter),
             head_per_mpa=1e6 / (fluid.density * g),
         )
+        for name, value in asdict(coeffs).items():
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"residual coefficient {name} overflows (wave speed {wave_speed:g} "
+                    f"m/s, density {fluid.density:g} kg/m^3, diameter "
+                    f"{pipe.diameter:g} m, gravity {g:g} m/s^2)")
+        return coeffs
 
 
 @dataclass

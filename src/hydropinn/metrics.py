@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetMeta
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalBlowupError
 from .hydraulics import FluidSpec, PipelineSpec, head_to_pressure
 from .moc import FieldGrid, interior_column_indices
 from .network import NetSpec, net_forward
@@ -153,24 +153,34 @@ def _segment_columns(xs, interior, length: float, breaks) -> list[tuple[str, np.
 
 def evaluate_model(label: str, spec: NetSpec, params, truth: FieldGrid,
                    meta: DatasetMeta, segment_breaks=None) -> list:
-    """Interior-point metric rows for one checkpoint on one dataset."""
-    pred = predict_field(spec, params, truth.xs, truth.ts, meta.fluid, meta.pipe)
-    interior = interior_column_indices(truth.xs, meta.pipe.length, meta.offtake_x)
+    """Interior-point metric rows for one checkpoint on one dataset.
+
+    The forward and the metrics run with numpy's floating-point warnings
+    off; a metric that comes out NaN or infinite instead (a prediction or
+    truth too large to score) is a `NumericalBlowupError` naming the model,
+    the segment and the quantity."""
     area = meta.pipe.area
     rows = []
-    for name, cols in _segment_columns(truth.xs, interior, meta.pipe.length,
-                                       segment_breaks):
-        for quantity, p_arr, t_arr in (
-            ("pressure", pred.P[:, cols], truth.P[:, cols]),
-            ("flowrate", pred.v[:, cols] * area * 3600.0,
-             truth.v[:, cols] * area * 3600.0),
-        ):
-            m, skipped = mape_with_skips(p_arr, t_arr)
-            rows.append(MetricsRow(
-                model=label, segment=name, quantity=quantity,
-                rmse=rmse(p_arr, t_arr), mape_pct=m, r2=r2(p_arr, t_arr),
-                mape_skipped=skipped,
-            ))
+    with np.errstate(all="ignore"):
+        pred = predict_field(spec, params, truth.xs, truth.ts, meta.fluid, meta.pipe)
+        interior = interior_column_indices(truth.xs, meta.pipe.length, meta.offtake_x)
+        for name, cols in _segment_columns(truth.xs, interior, meta.pipe.length,
+                                           segment_breaks):
+            for quantity, p_arr, t_arr in (
+                ("pressure", pred.P[:, cols], truth.P[:, cols]),
+                ("flowrate", pred.v[:, cols] * area * 3600.0,
+                 truth.v[:, cols] * area * 3600.0),
+            ):
+                m, skipped = mape_with_skips(p_arr, t_arr)
+                row = MetricsRow(model=label, segment=name, quantity=quantity,
+                                 rmse=rmse(p_arr, t_arr), mape_pct=m, r2=r2(p_arr, t_arr),
+                                 mape_skipped=skipped)
+                if not np.isfinite([row.rmse, row.mape_pct, row.r2]).all():
+                    raise NumericalBlowupError(
+                        f"model {label!r} scores non-finite {quantity} metrics on "
+                        f"segment {name} (rmse={row.rmse:.4g}, mape_pct="
+                        f"{row.mape_pct:.4g}, r2={row.r2:.4g})")
+                rows.append(row)
     return rows
 
 

@@ -35,6 +35,7 @@ the next layer's input rows; nothing else writes them.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -50,6 +51,9 @@ OUTPUT_MODES = ("pressure-velocity", "head-velocity")
 ACTIVATIONS = ("softplus", "identity")
 
 CHECKPOINT_FORMAT = "hydropinn-checkpoint/2"
+
+MAX_WIDTH = 4096  # widest hidden layer a spec may ask for
+MAX_PARAMETERS = 10**7  # largest parameter count; the shipped 10 x 50 net has 23,202
 
 # params are a list of (weights, bias) per layer; gradients share the layout
 NetParams = list
@@ -95,6 +99,7 @@ class NetSpec:
     def __post_init__(self):
         if self.hidden_layers < 1 or self.width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
+        check_net_size(self.hidden_layers, self.width)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.output_mode not in OUTPUT_MODES:
@@ -134,6 +139,26 @@ class NetSpec:
             return cls(**{**v, "scaler": InputScaler(**v["scaler"])})
         except (DomainError, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _count_text(n: int) -> str:
+    """`n` with thousands separators, or its power of ten past 12 digits."""
+    return f"{n:,}" if n < 10**12 else f"~10^{math.log10(n):.0f}"
+
+
+def check_net_size(hidden_layers: int, width: int, prefix: str = "") -> None:
+    """Reject, before anything is allocated, a net wider than `MAX_WIDTH` or
+    with more than `MAX_PARAMETERS` parameters: a config error naming the
+    `prefix`ed key and the size. The count is Python int arithmetic, so a
+    layer count like 2**70 cannot overflow it."""
+    if width > MAX_WIDTH:
+        raise ConfigError(f"{prefix}width {_count_text(width)} is above the cap of "
+                          f"{MAX_WIDTH:,}")
+    n = 3 * width + (hidden_layers - 1) * (width + 1) * width + 2 * width + 2
+    if n > MAX_PARAMETERS:
+        raise ConfigError(f"{prefix}hidden_layers {_count_text(hidden_layers)} of width "
+                          f"{width} make {_count_text(n)} parameters, above the cap "
+                          f"of {MAX_PARAMETERS:,}")
 
 
 SOFTPLUS_INIT_GAIN = 1.2

@@ -61,6 +61,7 @@ from .losses import (
 from .network import (
     InputScaler,
     NetSpec,
+    check_net_size,
     init_params,
     net_forward,
     params_flatten,
@@ -74,11 +75,14 @@ EVAL_COLLOCATION_POINTS = 2048
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 1e-4  # Adam's step size in every stage
+BATCH_SIZE = 128  # rows drawn per family and iteration (a smaller family is used whole)
 DIVERGENCE_THRESHOLD = 1e6  # a batch objective above this stops the run
 BC_RETENTION_FACTOR = 10.0  # an `ic` stage growing the boundary loss more warns
 TAPED_FORWARD_DTYPE = np.float32  # the dtype of each iteration's parameter leaf
 
-TRACE_CSV_HEADER = "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
+TRACE_CSV_HEADER = ("stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total,"
+                    "bc_first,bc_velocity")
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,6 @@ class TrainConfig:
     width: int = 50
     stage_iterations: tuple[int, int, int] = (2000, 2000, 16000)
     iterations: int | None = None  # single-stage baselines; defaults to the stage sum
-    batch_size: int = 128
-    learning_rate: float = 1e-4
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
 
@@ -100,6 +102,7 @@ class TrainConfig:
                        ("network.width", self.width)):
             if n < 1:
                 raise ConfigError(f"{key} must be at least 1, got {n!r}")
+        check_net_size(self.hidden_layers, self.width, "network.")
         if len(self.stage_iterations) != 3 or any(n < 0 for n in self.stage_iterations):
             raise ConfigError("stage_iterations must be three non-negative counts")
         if self.iterations is not None and self.iterations < 0:
@@ -107,10 +110,6 @@ class TrainConfig:
         if self.iterations is not None and self.baseline == "kih":
             raise ConfigError("iterations does not apply to kih, which runs "
                               "stage_iterations; remove it")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
 
     @property
     def total_iterations(self) -> int:
@@ -127,8 +126,6 @@ class TrainConfig:
             },
             "stage_iterations": list(self.stage_iterations),
             "iterations": self.iterations,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
             "seed": self.seed,
             "weights": {"con": self.weights.con, "mo": self.weights.mo},
         }
@@ -138,8 +135,7 @@ class TrainConfig:
         """Config from its JSON object; absent keys keep their defaults."""
         kwargs = read_object(d, "", {
             "baseline": text, "stage_iterations": list_of(count),
-            "iterations": optional(count), "batch_size": count,
-            "learning_rate": number, "seed": count,
+            "iterations": optional(count), "seed": count,
             "network": nested({"hidden_layers": count, "width": count}),
             "weights": nested({"con": number, "mo": number}),
         })
@@ -230,7 +226,8 @@ class TrainTrace:
         for r in self.rows:
             lines.append(
                 f"{r.stage},{r.iteration},{r.loss_bc:.10e},{r.loss_ic:.10e},"
-                f"{r.loss_con:.10e},{r.loss_mo:.10e},{r.loss_total:.10e}"
+                f"{r.loss_con:.10e},{r.loss_mo:.10e},{r.loss_total:.10e},"
+                f"{r.bc_first:.10e},{r.bc_velocity:.10e}"
             )
         Path(path).write_text("\n".join(lines) + "\n")
 
@@ -293,9 +290,9 @@ def _stage_rows(cfg: TrainConfig, data: TrainingData, stage_id: int):
     s_bc, s_ic, s_f, s_eval = [np.random.default_rng(s) for s in seq.spawn(4)]
     c = data.colloc
     n_eval = min(EVAL_COLLOCATION_POINTS, c.n_f)
-    batchers = {"bc": _FamilyBatcher(c.n_bc, cfg.batch_size, s_bc),
-                "ic": _FamilyBatcher(c.n_ic, cfg.batch_size, s_ic),
-                "f": _FamilyBatcher(c.n_f, cfg.batch_size, s_f)}
+    batchers = {"bc": _FamilyBatcher(c.n_bc, BATCH_SIZE, s_bc),
+                "ic": _FamilyBatcher(c.n_ic, BATCH_SIZE, s_ic),
+                "f": _FamilyBatcher(c.n_f, BATCH_SIZE, s_f)}
     eval_rows = {"bc": slice(None), "ic": slice(None),
                  "f": np.sort(s_eval.choice(c.n_f, size=n_eval, replace=False))}
     return batchers, eval_rows
@@ -429,7 +426,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         # free this iteration's tape before the next one records its forwards
         del theta_var, terms, loss_var
         try:
-            adam_step(theta, grad, adam, cfg.learning_rate)
+            adam_step(theta, grad, adam, LEARNING_RATE)
         except NumericalBlowupError as exc:
             raise NumericalBlowupError(
                 f"stage {stage_id} iteration {it}: {exc}; batch objective {total:.4g}"

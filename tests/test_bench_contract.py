@@ -40,8 +40,7 @@ def test_traced_operations_reach_every_expected_site(monkeypatch, desk_dataset):
     data = TrainingData.from_dataset(field, meta)
     for baseline, iterations in (("kih", None), ("dnn", 6)):
         cfg = TrainConfig(baseline=baseline, hidden_layers=2, width=8,
-                          stage_iterations=(4, 3, 5), iterations=iterations,
-                          batch_size=16)
+                          stage_iterations=(4, 3, 5), iterations=iterations)
         spec, params, _ = train(cfg, data)
         compare([(baseline, spec, params)], field, meta)
     adcheck_from_config(load_train_config(ROOT / "configs" / "kih.json"), order=4,
@@ -81,8 +80,7 @@ def test_adcheck_call_pattern(monkeypatch):
 def test_train_logs_one_stage_line_per_iteration(desk_dataset, baseline, iterations):
     data = TrainingData.from_dataset(*desk_dataset)
     cfg = TrainConfig(baseline=baseline, hidden_layers=2, width=8,
-                      stage_iterations=(4, 3, 5), iterations=iterations,
-                      batch_size=16)
+                      stage_iterations=(4, 3, 5), iterations=iterations)
     lines = []
     _, _, trace = train(cfg, data, log_every=1, log=lines.append)
     assert len(lines) == len(trace.rows) == cfg.total_iterations

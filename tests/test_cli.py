@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import platform
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,8 +46,6 @@ def tiny_train_config(tmp_path_factory):
         "baseline": "kih",
         "network": {"hidden_layers": 2, "width": 8},
         "stage_iterations": [20, 10, 30],
-        "batch_size": 32,
-        "learning_rate": 1e-4,
         "seed": 0,
     }
     path = d / "tiny_kih.json"
@@ -156,7 +157,7 @@ class TestConfigKeys:
         ("train", lambda d: d["network"].update(hidden_layers="ten"),
          "network.hidden_layers"),
         ("train", lambda d: d.update(network=[1, 2]), "network"),
-        ("train", lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
+        ("train", lambda d: d.update(weights={"con": float("nan")}), "weights.con"),
         ("train", lambda d: d.update(lr_decay=1.0), "lr_decay"),
         ("train", lambda d: d.update(divergence_threshold=1e6),
          "unknown key 'divergence_threshold'"),
@@ -173,10 +174,12 @@ class TestConfigKeys:
         ("train", lambda d: d.update(weights={"ic": 1.0, "mo": 10.0}),
          "unknown key 'weights.ic'"),
         ("train", lambda d: d.update(bc_loss_form="split"), "unknown key 'bc_loss_form'"),
-    ], ids=["weigths", "gravity", "hidden_layers", "network", "learning_rate",
+        ("train", lambda d: d.update(learning_rate=1e-4), "unknown key 'learning_rate'"),
+        ("train", lambda d: d.update(batch_size=128), "unknown key 'batch_size'"),
+    ], ids=["weigths", "gravity", "hidden_layers", "network", "nan_weight",
             "lr_decay", "divergence_threshold", "bc_retention_factor", "adam",
             "activation", "zero_hidden_layers", "zero_width", "negative_weight",
-            "weights_bc", "weights_ic", "bc_loss_form"])
+            "weights_bc", "weights_ic", "bc_loss_form", "learning_rate", "batch_size"])
     def test_unknown_key_or_bad_value_is_config_error(
             self, kind, edit, key, tiny_scenario_file, tiny_train_config,
             tiny_dataset, tmp_path, capsys):
@@ -211,7 +214,8 @@ class TestTrainEvalCompare:
         trace = checkpoint.parent / (checkpoint.name + ".trace.csv")
         assert trace.exists()
         header = trace.read_text().split("\n", 1)[0]
-        assert header == "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
+        assert header == ("stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total,"
+                          "bc_first,bc_velocity")
 
     def test_eval_untrained_model_reports_large_errors(self, checkpoint,
                                                        tiny_dataset, capsys):
@@ -402,7 +406,8 @@ class TestTrainEvalCompare:
         assert record["stages"] == [] and record["warnings"] == []
         assert TrainConfig.from_dict(record["config"]) == load_train_config(tiny_train_config)
         trace = (tmp_path / "m.npz.trace.csv").read_text()
-        assert trace == "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total\n"
+        assert trace == ("stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total,"
+                         "bc_first,bc_velocity\n")
 
     def test_blowup_record_keeps_the_completed_stages(self, monkeypatch, tiny_train_config,
                                                       tiny_dataset, tmp_path, capsys):
@@ -473,3 +478,93 @@ class TestAdcheck:
         assert captured.err.startswith("error: config: ")
         assert flag in captured.err
         assert captured.out == ""
+
+
+# Runs `cli.main` on each argv of a JSON list under an address-space limit, so
+# that a missing size guard fails as a MemoryError instead of swapping the
+# host, and prints [exit code or escaped exception, stderr] per case.
+_GUARDED_MAIN = """
+import io, json, resource, sys, warnings
+from contextlib import redirect_stderr, redirect_stdout
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+warnings.simplefilter("always")
+from hydropinn.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except Exception as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestNoRawFailure:
+    def test_overflow_oversize_and_non_finite_cases_exit_1_categorized(
+            self, tiny_train_config, tiny_dataset, checkpoint, tmp_path):
+        """Each input exits 1 and its first stderr line is the categorized
+        error, not a traceback or a numpy warning, with the fragments that
+        name the key or quantity."""
+        def dataset(name, edit_meta=None, edit_lines=None):
+            path = tmp_path / f"{name}.csv"
+            lines = tiny_dataset.read_text().split("\n")
+            if edit_lines:
+                edit_lines(lines)
+            path.write_text("\n".join(lines))
+            meta = json.loads(meta_path(tiny_dataset).read_text())
+            if edit_meta:
+                edit_meta(meta)
+            meta_path(path).write_text(json.dumps(meta))
+            return str(path)
+
+        def interior_cell(lines):
+            # line 7 is x = 500 m, t = 1 s: an interior column
+            fields = lines[7].split(",")
+            assert fields[0] == "500"
+            lines[7] = ",".join(fields[:2] + ["1e300"] + fields[3:])
+
+        big_theta = tmp_path / "big_theta.npz"
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        np.savez(big_theta, **{**arrays, "theta": arrays["theta"] * 1e200})
+        big_spec = tmp_path / "big_spec.npz"
+        shutil.copy(checkpoint, big_spec)
+        write_checkpoint_meta(big_spec, lambda m: m["spec"].update(hidden_layers=2**70))
+
+        ckpt, data, out = str(checkpoint), str(tiny_dataset), str(tmp_path / "m.npz")
+        cases = [
+            (["eval", ckpt, dataset("wide", lambda m: m["pipe"].update(diameter_m=1e300))],
+             "domain", "flow area of diameter 1e+300 m"),
+            (["train", str(tiny_train_config),
+              dataset("fast", lambda m: m.update(wave_speed_mps=1e300)), "-o", out],
+             "domain", "rho_a2_over_1e6 overflows"),
+            (["eval", str(big_theta), data], "numeric", "model 'kih'"),
+            (["eval", ckpt, dataset("cell", edit_lines=interior_cell)],
+             "numeric", "non-finite pressure metrics"),
+            (["eval", str(big_spec), data], "config", f"{big_spec}: spec: hidden_layers"),
+        ]
+        for key, value in (("hidden_layers", 1e300), ("hidden_layers", 2**70),
+                           ("width", 1e300), ("width", 2**70)):
+            cfg = json.loads(tiny_train_config.read_text())
+            cfg["network"][key] = value
+            path = tmp_path / f"{key}_{value:.0e}.json"
+            path.write_text(json.dumps(cfg))
+            cases += [(["train", str(path), data, "-o", out], "config", f"network.{key}"),
+                      (["adcheck", str(path)], "config", f"network.{key}")]
+
+        src = str(Path(hydropinn.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        argvs = [argv for argv, _, _ in cases]
+        child = subprocess.run([sys.executable, "-c", _GUARDED_MAIN, json.dumps(argvs)],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        for (argv, category, fragment), (code, err) in zip(cases,
+                                                           json.loads(child.stdout)):
+            first = err.split("\n", 1)[0]
+            assert code == 1, (argv, code, err)
+            assert first.startswith(f"error: {category}: ") and fragment in first, argv
+        assert not Path(out).exists()

@@ -33,7 +33,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return TrainConfig(hidden_layers=2, width=8, stage_iterations=(40, 30, 60),
-                       batch_size=32, seed=0, weights=LossWeights(1.0, 1.0))
+                       seed=0, weights=LossWeights(1.0, 1.0))
 
 
 def _form(cfg, stage_id):
@@ -189,21 +189,23 @@ class TestStages:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total"
+        assert lines[0] == ("stage,iter,loss_bc,loss_ic,loss_con,loss_mo,loss_total,"
+                            "bc_first,bc_velocity")
         assert len(lines) == 1 + len(trace.rows)
+        first = trace.rows[0]
+        assert lines[1].split(",")[7:] == [f"{first.bc_first:.10e}",
+                                           f"{first.bc_velocity:.10e}"]
 
     def test_retention_warning_recorded(self, monkeypatch, tiny_data):
         # an absurdly tight retention factor flags any boundary-loss growth
         monkeypatch.setattr(training, "BC_RETENTION_FACTOR", 1e-9)
-        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(30, 30, 0),
-                          batch_size=32, seed=0)
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(30, 30, 0), seed=0)
         _, _, trace = train(cfg, tiny_data)
         assert any("boundary loss" in w for w in trace.warnings)
 
     def test_stage3_zero_physics_equals_data_run(self, tiny_data):
         """With zero physics weights stage three is exactly a joint data fit."""
-        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(20, 10, 0),
-                          batch_size=32, seed=4,
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(20, 10, 0), seed=4,
                           weights=LossWeights(0.0, 0.0))
         spec, p1, _ = train(cfg, tiny_data)
         start = params_flatten(p1)
@@ -265,7 +267,7 @@ class TestStageFailures:
 class TestBaselines:
     def test_pinn_outputs_head(self, tiny_data):
         cfg = TrainConfig(baseline="pinn", hidden_layers=2, width=8,
-                          iterations=40, batch_size=32, seed=0)
+                          iterations=40, seed=0)
         spec, params, trace = train(cfg, tiny_data)
         assert spec.output_mode == "head-velocity"
         # head-channel outputs should be marching toward ~100 m magnitudes
@@ -275,14 +277,14 @@ class TestBaselines:
 
     def test_pinn_head_loss_dominates_velocity_loss(self, tiny_data):
         cfg = TrainConfig(baseline="pinn", hidden_layers=2, width=8,
-                          iterations=150, batch_size=32, seed=0)
+                          iterations=150, seed=0)
         _, _, trace = train(cfg, tiny_data)
         row = trace.rows[100]
         assert row.bc_first >= 10.0 * row.bc_velocity
 
     def test_dnn_runs_data_only(self, tiny_data):
         cfg = TrainConfig(baseline="dnn", hidden_layers=2, width=8,
-                          iterations=40, batch_size=32, seed=0)
+                          iterations=40, seed=0)
         spec, params, trace = train(cfg, tiny_data)
         assert spec.output_mode == "head-velocity"
         assert len(trace.rows) == 40
@@ -308,8 +310,7 @@ class TestGradientValidity:
         )
         for iters in (10, 25, 40):
             cfg = TrainConfig(hidden_layers=2, width=8,
-                              stage_iterations=(iters, 0, iters),
-                              batch_size=32, seed=5)
+                              stage_iterations=(iters, 0, iters), seed=5)
             spec, params, _ = train(cfg, tiny_data)
             problem = AdCheckProblem(spec=spec, params=params, colloc=sub,
                                      coeffs=tiny_data.coeffs,
@@ -554,8 +555,7 @@ class TestFloat32TapedForward:
             return forward(spec, theta_var, *args, **kwargs)
 
         monkeypatch.setattr(hydropinn.losses, "taped_forward", recorded)
-        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(3, 2, 4),
-                          batch_size=16)
+        cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(3, 2, 4))
         _, params, _ = train(cfg, tiny_data)
         # one node per family an iteration's objective reads: bc, ic, then bc+ic+f
         assert dtypes == [np.dtype(np.float32)] * (3 + 2 + 4 * 3)
