@@ -6,13 +6,15 @@ its floating dtype; every other node's value, and so every adjoint, is
 float64. One reverse sweep adds each reached node's returned adjoints
 into its parents'. Var operators record the elementwise loss nodes and
 do not broadcast a Var operand; indexing takes int and slice keys only.
-A whole network forward is one node with a hand-derived backward
+A whole network forward, over every point family of a training
+iteration, is one node with a hand-derived backward
 (`network.taped_forward`) that carries the input tangents, so PDE
 residual losses backpropagate to the parameters through the tangent
 computation itself -- forward-over-reverse without nested tapes. Its one
 parent is the leaf over the flat parameter buffer, so a gradient is one
-flat vector; it computes in that leaf's dtype (float32 in training) and
-returns its output and gradient as float64.
+flat vector from one backward, with no adjoint sum at the leaf; it
+computes in that leaf's dtype (float32 in training) and returns its
+output and gradient as float64.
 
 Training records each iteration on a fresh tape and drops it once the
 gradient is taken; a Var recorded on another tape is rejected.

@@ -159,11 +159,13 @@ def read_dataset(path) -> tuple[FieldGrid, DatasetMeta]:
     )
     mpath = meta_path(path)
     try:
-        meta = DatasetMeta.from_dict(json.loads(mpath.read_text()))
+        raw = json.loads(mpath.read_text())
     except FileNotFoundError:
         raise FileNotFoundError(f"dataset metadata sidecar missing: {mpath}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{mpath} is not valid JSON: {exc}") from exc
+    try:
+        meta = DatasetMeta.from_dict(raw)
     except ConfigError as exc:
         raise ConfigError(f"{mpath}: {exc}") from exc
     for column, x, end, name in (("first", xs[0], 0.0, "inlet"),

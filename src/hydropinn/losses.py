@@ -8,9 +8,10 @@ residual under h = 1e6*P/(rho*g); a test suite pins that identity.
 
 The residual cores and the data misfit are written once over numpy arrays
 (`residuals`, on the tape-free `forward_with_input_tangents`) or tape Vars
-(`taped_data_loss`/`taped_physics_losses`, on `taped_forward`'s one network
-node, the residual arithmetic recorded op by op), through one pressure/head
-dispatch. The weighted objective lives in `training` (`_objective`,
+(`taped_data_loss`/`taped_physics_losses`, on a family's slice of the
+outputs of `taped_outputs`, the iteration's one `taped_forward` node over
+all its families, the residual arithmetic recorded op by op), through one
+pressure/head dispatch. The weighted objective lives in `training` (`_objective`,
 `_weighted_sum`). Reductions are fixed-order numpy means, keeping loss
 values deterministic.
 """
@@ -239,19 +240,35 @@ def residuals(spec: NetSpec, params, coeffs: PhysicsCoefficients, x, t,
 
 # --- taped API (for training) -------------------------------------------------
 
-def taped_data_loss(spec: NetSpec, theta_var, x, t, P_obs, v_obs,
+TAPED_FAMILIES = ("bc", "ic", "f")  # row order of the node; 'f' carries tangents
+
+
+def taped_outputs(spec: NetSpec, theta_var, points: dict) -> dict:
+    """{family: output Vars} of one taped network node over every family in
+    `points`, a {family: (x, t)} of 'bc', 'ic' and the collocation family
+    'f'. The node stacks the families in `TAPED_FAMILIES` order, 'f' last
+    with its input tangents: a bc or ic family gets (y1, v), 'f' (y1, v,
+    y1_x, y1_t, v_x, v_t)."""
+    families = [f for f in TAPED_FAMILIES if f in points]
+    x, t = (np.concatenate([points[f][i] for f in families]) for i in (0, 1))
+    outputs = taped_forward(spec, theta_var, x, t, with_tangents="f" in points,
+                            sizes=[np.size(points[f][0]) for f in families])
+    return dict(zip(families, outputs))
+
+
+def taped_data_loss(spec: NetSpec, outputs, P_obs, v_obs,
                     coeffs: PhysicsCoefficients, form: str):
-    """Data loss Var plus per-variable diagnostic values."""
-    y1, v = taped_forward(spec, theta_var, x, t)
+    """Data loss Var of a family's (y1, v) output Vars, plus per-variable
+    diagnostic values."""
+    y1, v = outputs
     obs = _observed_first_channel(P_obs, spec, coeffs)
     loss = data_misfit(y1, v, obs, v_obs, form)
     m1, m2 = data_misfit_terms(y1.value, v.value, obs, v_obs)
     return loss, (m1, m2)
 
 
-def taped_physics_losses(spec: NetSpec, theta_var, x, t,
-                         coeffs: PhysicsCoefficients):
-    """(L_con, L_mo) Vars at collocation points."""
-    g_mo, g_con = _residual_pair(spec, coeffs, taped_forward(spec, theta_var, x, t,
-                                                             with_tangents=True))
+def taped_physics_losses(spec: NetSpec, outputs, coeffs: PhysicsCoefficients):
+    """(L_con, L_mo) Vars of the collocation family's output Vars, input
+    derivatives included."""
+    g_mo, g_con = _residual_pair(spec, coeffs, outputs)
     return _mean_sq(g_con), _mean_sq(g_mo)

@@ -44,6 +44,19 @@ from .scenario import Scenario
 
 MAX_WAVE_SPEED_RESCALE = 0.01
 COLUMN_TOLERANCE = 0.5  # m, a column this close to a boundary or offtake sits on it
+# largest float64 P and v field a grid may ask for (the desk case at MOC dt
+# 0.05 s is 162 MB): a finer MOC grid or export grid is a GridError
+MAX_FIELD_BYTES = 2**30
+
+
+def _check_field_size(rows: float, columns: float, what: str) -> None:
+    """GridError naming the size when a rows x columns float64 P and v
+    field would exceed `MAX_FIELD_BYTES`. The counts may be floats of any
+    size, infinity included, so the check comes before any int conversion."""
+    nbytes = rows * columns * 2 * 8
+    if not nbytes <= MAX_FIELD_BYTES:
+        raise GridError(f"{what} has {rows:.4g} x {columns:.4g} points, {nbytes:.3g} "
+                        f"bytes of P and v, above the cap of {MAX_FIELD_BYTES:,} bytes")
 
 
 @dataclass(frozen=True)
@@ -99,7 +112,9 @@ def build_grid(pipe: PipelineSpec, fluid: FluidSpec, dt: float) -> MocGrid:
     if not 0 < dt < np.inf:  # also rejects NaN
         raise GridError(f"MOC dt must be finite and positive, got {dt!r}")
     a = wave_speed(fluid, pipe)
-    node_count = int(round(pipe.length / (a * dt))) + 1
+    cells = pipe.length / (a * dt)
+    _check_field_size(1, cells + 1, f"one MOC time row at dt={dt!r} s")
+    node_count = int(round(cells)) + 1
     if node_count < 3:
         raise GridError(
             f"only {node_count} nodes at dt={dt} s; grid too coarse to resolve the pipe"
@@ -256,10 +271,14 @@ def run_details(scenario: Scenario, dt: float = 0.5):
 
     The final row is converted after the loop, and row 0 is then set to the
     steady profile's pressure. The boundary values are evaluated once and
-    handed to the loop a block at a time.
+    handed to the loop a block at a time. A field of P and v above
+    `MAX_FIELD_BYTES` is a GridError before anything is allocated.
     """
     pipe, fluid = scenario.pipe, scenario.fluid
     grid = build_grid(pipe, fluid, dt)
+    steps = scenario.duration / dt
+    _check_field_size(steps + 1, grid.node_count,
+                      f"the MOC field of {scenario.duration!r} s at dt={dt!r} s")
     xs = grid.positions
     area = pipe.area
 
@@ -289,7 +308,7 @@ def run_details(scenario: Scenario, dt: float = 0.5):
             raise GridError("offtake position maps to a boundary node; refine the grid")
         offtake_signal = scenario.offtake.flowrate
 
-    n_steps = int(np.ceil(scenario.duration / dt - 1e-9)) if scenario.duration > 0 else 0
+    n_steps = int(np.ceil(steps - 1e-9)) if scenario.duration > 0 else 0
     ts = np.arange(n_steps + 1) * dt
     B = grid.wave_speed / pipe.gravity
     R = f * dt / (2.0 * pipe.diameter)
@@ -383,10 +402,13 @@ def export_grid(length: float, duration: float, dx: float = 1000.0,
                 dt: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """The dataset grid: evenly spaced columns/rows spanning the domain. Each
     step must be finite, positive and split its span into whole cells (to 1e-9
-    relative); anything else is a GridError naming the value."""
-    for name, step, span in (("dx", dx, length), ("dt", dt, duration)):
+    relative), and the grid's P and v must fit `MAX_FIELD_BYTES`; anything
+    else is a GridError naming the value."""
+    for name, step in (("dx", dx), ("dt", dt)):
         if not 0 < step < np.inf:  # also rejects NaN
             raise GridError(f"export grid {name} must be finite and positive, got {step!r}")
+    _check_field_size(duration / dt + 1, length / dx + 1, "the export grid")
+    for name, step, span in (("dx", dx, length), ("dt", dt, duration)):
         if abs(span / step - round(span / step)) > 1e-9 * span / step:
             raise GridError(f"export grid {name}={step!r} does not divide {span!r} "
                             "into whole cells")

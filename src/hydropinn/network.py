@@ -14,10 +14,12 @@ Both forwards call it and differ only in the buffers they hand in. The
 tape-free `_forward` (`net_forward`, `forward_with_input_tangents`) walks
 the points in cache-sized blocks over two alternating row buffers, for
 evaluation, eval-set objectives and the adcheck probe. `taped_forward`
-hands in fresh per-layer arrays, which it keeps for the reverse, and
-records the whole forward as one tape node whose only parent is the leaf
-over the flat parameter buffer, for training gradients; it computes in
-the leaf's dtype (float32 in training, float64 in the gradient check).
+records one tape node over every point family of a training iteration,
+whose only parent is the leaf over the flat parameter buffer: each
+family runs `_layers` over its own rows of fresh per-layer arrays, which
+the node keeps, and its reverse is one sweep over all the rows into one
+flat gradient. It computes in the leaf's dtype (float32 in training,
+float64 in the gradient check).
 
 A `ForwardCache` (`forward_cache`) keeps every layer's input rows over
 fixed points, the raw points themselves and the bytes of the (W, b) that
@@ -39,6 +41,7 @@ import math
 import zipfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -240,23 +243,26 @@ def _softplus_inplace(v, e, tmp, mask=None) -> None:
     np.log1p(e, out=tmp)
     v += tmp
     if mask is not None:
-        # sigmoid: 1/(1+e) where v >= 0, e/(1+e) elsewhere
+        # sigmoid: 1/(1+e) where v >= 0, e/(1+e) elsewhere; e lies in [0, 1],
+        # so max(e, mask) puts 1 where the mask is set and keeps e elsewhere
         np.add(e, 1.0, out=tmp)
-        np.putmask(e, mask, 1.0)
+        np.maximum(e, mask, out=e)
         np.divide(e, tmp, out=e)
 
 
 def _input_rows(spec: NetSpec, a, points) -> None:
     """Write the first layer's input rows into `a`: a[:m] <- the m normalized
-    `points` and, when `a` has 3m rows, a[m:] <- the constant input-tangent
-    rows (dx_factor, 0) and (0, dt_factor), which make the first matmul's
-    tangent rows the physical d/dx and d/dt."""
+    `points` and, when `a` has m + 2k rows, a[m:] <- the constant
+    input-tangent rows (dx_factor, 0) and (0, dt_factor) of the last k
+    points, which make the first matmul's tangent rows the physical d/dx
+    and d/dt."""
     m = points.shape[0]
     a[:m] = points
-    if a.shape[0] > m:
+    k = (a.shape[0] - m) // 2
+    if k:
         a[m:] = 0.0
-        a[m:2 * m, 0] = spec.scaler.dx_factor
-        a[2 * m:, 1] = spec.scaler.dt_factor
+        a[m:m + k, 0] = spec.scaler.dx_factor
+        a[m + k:, 1] = spec.scaler.dt_factor
 
 
 def _layers(spec: NetSpec, params: NetParams, a, m: int, zs, ss, tmp,
@@ -442,23 +448,36 @@ def forward_with_input_tangents(spec: NetSpec, params: NetParams, x, t,
     return out[0, 0], out[1, 0], out[0, 1], out[0, 2], out[1, 1], out[1, 2]
 
 
-def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
-    """Forward pass recorded as one node on the tape of `theta_var`, the
-    leaf over the flat parameter buffer (laid out as `params_flatten` writes
-    it), whose backward is the hand-derived reverse below.
+def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False,
+                  sizes=None):
+    """Forward pass over one or more point families, recorded as one node
+    on the tape of `theta_var`, the leaf over the flat parameter buffer
+    (laid out as `params_flatten` writes it), whose backward is the
+    hand-derived reverse below.
 
-    Without tangents returns (P, v) Vars; with tangents additionally
-    returns (Px, Pt, vx, vt) Vars whose parameter adjoints carry the
+    `x` and `t` hold the points of every family, family after family, and
+    `sizes` their point counts (default: one family of all the points).
+    With tangents the last family also carries d/dx and d/dt rows. Returns
+    one tuple of Vars per family: (P, v), and for the tangent-carrying
+    family (P, v, Px, Pt, vx, vt), whose parameter adjoints carry the
     second-order cross terms the PDE losses need.
+
+    The node's rows are every family's value rows, then the last family's
+    d/dx and d/dt rows, so each family's rows are one contiguous slice of
+    the node's per-layer buffers. The forward runs `_layers` over each
+    family's slice on its own, so every matmul has the row count of that
+    family alone (BLAS results depend on it): each family's outputs are
+    bitwise those of a node over that family alone.
 
     Per layer of `_layers`, rows A = [a; a_x; a_t] give
     Z = A W = [z; z_x; z_t], then a = softplus(z), a_x = s*z_x, a_t = s*z_t
     with s = sigmoid(z); A and s are kept for the reverse. The reverse is
-    W_bar = A^T Z_bar, A_bar = Z_bar W^T with Z_bar = [s*a_bar + (1-s)*
-    (a_bar_x*a_x + a_bar_t*a_t); s*a_bar_x; s*a_bar_t], the sigmoid term
-    s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off the next layer's A. It
-    writes each layer's W_bar and b_bar into that layer's slice of one
-    fresh flat gradient.
+    one sweep over all the node's rows: W_bar = A^T Z_bar, A_bar = Z_bar W^T
+    with Z_bar = [s*a_bar + (1-s)*(a_bar_x*a_x + a_bar_t*a_t); s*a_bar_x;
+    s*a_bar_t], the sigmoid term s(1-s)*(a_bar_x*z_x + a_bar_t*z_t) read off
+    the next layer's A and present on the tangent family's value rows
+    alone. It writes each layer's W_bar and b_bar into that layer's slice
+    of one fresh flat gradient, so the leaf gets one adjoint.
 
     Precision: the node computes in the dtype of the leaf's value: its
     (W, b) views, every row buffer of the forward and the reverse, the
@@ -473,20 +492,29 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
     params = params_views(spec, theta)
     points = _stack_inputs(spec, x, t)
     m = points.shape[0]
-    rows = (3 if with_tangents else 1) * m
+    sizes = [m] if sizes is None else list(sizes)
+    if sum(sizes) != m:
+        raise ValueError(f"family sizes {sizes} do not add up to the {m} points")
+    k = sizes[-1] if with_tangents else 0  # points with tangent rows, the last ones
+    rows, width = m + 2 * k, spec.width
     use_softplus = spec.activation == "softplus"
     a = np.empty((rows, 2), dtype)
     _input_rows(spec, a, points)
-    tmp, mask = np.empty((m, spec.width), dtype), np.empty((m, spec.width), bool)
+    widest = max(sizes)
+    tmp, mask = np.empty((widest, width), dtype), np.empty((widest, width), bool)
     zs = [np.empty((rows, n_out), dtype) for _, n_out in spec.layer_dims]
-    sigmoids = [np.empty((m, spec.width), dtype) for _ in params[:-1]]
-    _layers(spec, params, a, m, zs, sigmoids, tmp, mask)
+    sigmoids = [np.empty((m, width), dtype) for _ in params[:-1]]
+    bounds = list(accumulate(sizes, initial=0))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        end = rows if hi == m else hi  # the last family's tangent rows follow it
+        _layers(spec, params, a[lo:end], hi - lo, [z[lo:end] for z in zs],
+                [s[lo:hi] for s in sigmoids], tmp[:hi - lo], mask[:hi - lo])
     inputs, y = [a] + zs[:-1], zs[-1]
 
     def backward(ybar):
         grad = np.empty_like(theta)
         grads = params_views(spec, grad)
-        abar, zbar = np.empty((rows, spec.width), dtype), np.empty((rows, spec.width), dtype)
+        abar, zbar = np.empty((rows, width), dtype), np.empty((rows, width), dtype)
         g = ybar.astype(dtype, copy=False)
         for li in range(len(params) - 1, -1, -1):
             np.matmul(inputs[li].T, g, out=grads[li][0])
@@ -498,27 +526,25 @@ def taped_forward(spec: NetSpec, theta_var, x, t, with_tangents: bool = False):
                 g, abar, zbar = abar, zbar, abar
                 continue
             s = sigmoids[li - 1]
-            if with_tangents:
-                zv, cross = zbar[:m], zbar[m:2 * m]
+            np.multiply(abar[:m], s, out=zbar[:m])
+            if k:
+                sk, cross, scratch = s[m - k:], zbar[m:m + k], zbar[m + k:]
                 np.multiply(abar[m:], inputs[li][m:], out=zbar[m:])
-                cross += zbar[2 * m:]
-                np.subtract(1.0, s, out=zv)
-                cross *= zv
-                np.multiply(abar[:m], s, out=zv)
-                zv += cross
-                np.multiply(abar[m:].reshape(2, m, -1), s,
-                            out=zbar[m:].reshape(2, m, -1))
-            else:
-                np.multiply(abar, s, out=zbar)
+                cross += scratch
+                np.subtract(1.0, sk, out=scratch)
+                cross *= scratch
+                zbar[m - k:m] += cross
+                np.multiply(abar[m:].reshape(2, k, -1), sk,
+                            out=zbar[m:].reshape(2, k, -1))
             g = zbar
         return (grad.astype(float, copy=False),)
 
     out = theta_var.tape.node((theta_var,), y, backward)
-    if not with_tangents:
-        return out[:m, 0], out[:m, 1]
-    return (out[:m, 0], out[:m, 1],
-            out[m:2 * m, 0], out[2 * m:, 0],
-            out[m:2 * m, 1], out[2 * m:, 1])
+    outputs = [(out[lo:hi, 0], out[lo:hi, 1])
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if k:
+        outputs[-1] += (out[m:m + k, 0], out[m + k:, 0], out[m:m + k, 1], out[m + k:, 1])
+    return outputs
 
 
 def save_checkpoint(path, spec: NetSpec, params: NetParams,

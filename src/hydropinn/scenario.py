@@ -161,7 +161,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -14,10 +14,11 @@ per-variable `split` data loss; the schedule alone fixes each stage's form.
 Parameters live in one contiguous float64 buffer for the whole run.
 Tape-free forwards and the returned `params` are per-layer (W, b) views
 into it. Each iteration records on a fresh tape whose only leaf is a
-`TAPED_FORWARD_DTYPE` (float32) copy of that buffer, so the network nodes
-run their forward and reverse in float32; the reverse sweep returns one
-float64 flat gradient that Adam applies to the buffer as one vector, and
-the tape is dropped once the gradient is taken. This is mixed precision
+`TAPED_FORWARD_DTYPE` (float32) copy of that buffer, and on it one
+network node over every family the objective reads (`losses.taped_outputs`),
+which runs its forward and its one reverse sweep in float32; the sweep
+returns one float64 flat gradient that Adam applies to the buffer as one
+vector, and the tape is dropped once the gradient is taken. This is mixed precision
 with a float64 master copy (Micikevicius et al., ICLR 2018): the loss
 arithmetic after the network, Adam, the eval-set objective that picks
 the kept parameters and every tape-free forward stay float64.
@@ -54,6 +55,7 @@ from .losses import (
     data_misfit_terms,
     residuals,
     taped_data_loss,
+    taped_outputs,
     taped_physics_losses,
     _mean_sq,
     _observed_first_channel,
@@ -153,7 +155,7 @@ class TrainConfig:
 def load_train_config(path) -> TrainConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"train config {path} is not valid JSON: {exc}") from exc
     return TrainConfig.from_dict(data)
 
@@ -329,26 +331,29 @@ def _weighted_sum(objective: dict, terms: dict):
 
 
 def _family(colloc: CollocationSet, family: str, idx=slice(None)):
-    """(x, t, P_obs, v_obs) rows `idx` of the 'bc' or 'ic' family."""
-    return tuple(getattr(colloc, f"{name}_{family}")[idx] for name in ("x", "t", "P", "v"))
+    """Rows `idx` of a family's arrays: (x, t, P_obs, v_obs) of 'bc' or 'ic',
+    (x, t) of 'f'."""
+    names = ("x", "t") if family == "f" else ("x", "t", "P", "v")
+    return tuple(getattr(colloc, f"{name}_{family}")[idx] for name in names)
 
 
 def _batch_terms(spec, theta_var, colloc: CollocationSet, coeffs: PhysicsCoefficients,
                  rows: dict, form):
     """Taped terms of each family in `rows` (family -> its rows to use; 'f'
-    gives con and mo), plus the per-channel boundary diagnostics with 'bc'."""
+    gives con and mo), plus the per-channel boundary diagnostics with 'bc',
+    all from one taped network node over every family in `rows`."""
+    batch = {family: _family(colloc, family, idx) for family, idx in rows.items()}
+    outputs = taped_outputs(spec, theta_var, {f: arrays[:2] for f, arrays in batch.items()})
     terms, diagnostics = {}, {}
     for family in ("bc", "ic"):
-        if family in rows:
-            x, t, P, v = _family(colloc, family, rows[family])
-            terms[family], (d1, d2) = taped_data_loss(spec, theta_var, x, t, P, v,
+        if family in batch:
+            _, _, P, v = batch[family]
+            terms[family], (d1, d2) = taped_data_loss(spec, outputs[family], P, v,
                                                       coeffs, form)
             if family == "bc":
                 diagnostics = {"bc_first": float(d1), "bc_velocity": float(d2)}
-    if "f" in rows:
-        idx = rows["f"]
-        terms["con"], terms["mo"] = taped_physics_losses(spec, theta_var, colloc.x_f[idx],
-                                                         colloc.t_f[idx], coeffs)
+    if "f" in batch:
+        terms["con"], terms["mo"] = taped_physics_losses(spec, outputs["f"], coeffs)
     return terms, diagnostics
 
 
@@ -366,8 +371,7 @@ def _eval_terms(spec, params, colloc: CollocationSet, coeffs: PhysicsCoefficient
             if family == "bc":
                 terms["bc_first"], terms["bc_velocity"] = data_misfit_terms(y1, v, obs, v_obs)
     if "f" in rows:
-        idx = rows["f"]
-        g_mo, g_con = residuals(spec, params, coeffs, colloc.x_f[idx], colloc.t_f[idx])
+        g_mo, g_con = residuals(spec, params, coeffs, *_family(colloc, "f", rows["f"]))
         terms["con"], terms["mo"] = float(_mean_sq(g_con)), float(_mean_sq(g_mo))
     return terms
 

@@ -126,7 +126,7 @@ class TestTape:
         x, t = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
         tape = Tape()
         theta = tape.leaf(params_flatten(params))
-        P, v = taped_forward(spec, theta, x, t)
+        [(P, v)] = taped_forward(spec, theta, x, t)
         loss = (P * P).mean() + (v * v).mean()
         (grad,) = tape.gradients(loss, [theta])
         (gw0, gb0), (gw1, gb1) = params_views(spec, grad)
@@ -157,8 +157,8 @@ class TestTape:
 
             tape = Tape()
             theta = tape.leaf(params_flatten(params))
-            loss = sum(((o * o).mean() for o in taped_forward(spec, theta, x, t,
-                                                              with_tangents=True)))
+            (out,) = taped_forward(spec, theta, x, t, with_tangents=True)
+            loss = sum(((o * o).mean() for o in out))
             (g,) = tape.gradients(loss, [theta])
             grad = params_views(spec, g)
             report = fd_check(loss_fn, grad, params, h=1e-4, tolerance=1e-6, order=4)
@@ -196,7 +196,7 @@ class TestTape:
         def grads_of(wa, wb):
             tape = Tape()
             theta = tape.leaf(params_flatten(params))
-            P, v = taped_forward(spec, theta, x, t)
+            [(P, v)] = taped_forward(spec, theta, x, t)
             l1 = ((P - targ) * (P - targ)).mean()
             l2 = (v * v).mean()
             loss = wa * l1 + wb * l2
@@ -218,7 +218,7 @@ class TestTape:
         def run_once():
             tape = Tape()
             theta = tape.leaf(params_flatten(params))
-            out = taped_forward(spec, theta, x, t, with_tangents=True)
+            (out,) = taped_forward(spec, theta, x, t, with_tangents=True)
             loss = sum(((o * o).mean() for o in out[2:]), (out[0] * out[1]).mean())
             return tape.gradients(loss, [theta])
 
@@ -233,8 +233,8 @@ class TestTape:
         t = rng.uniform(0, 3, 6)
         dual_out = forward_with_input_tangents(spec, params, x, t)
         tape = Tape()
-        taped_out = taped_forward(spec, tape.leaf(params_flatten(params)), x, t,
-                                  with_tangents=True)
+        (taped_out,) = taped_forward(spec, tape.leaf(params_flatten(params)), x, t,
+                                     with_tangents=True)
         for d, v in zip(dual_out, taped_out):
             assert np.allclose(d, v.value, rtol=1e-13, atol=1e-15)
 
@@ -328,7 +328,7 @@ class TestSecondOrderCrossTerms:
 
         tape = Tape()
         theta = tape.leaf(params_flatten(params))
-        out = taped_forward(spec, theta, x, t, with_tangents=True)
+        (out,) = taped_forward(spec, theta, x, t, with_tangents=True)
         loss = (out[2] * out[2]).mean()
         (flat_g,) = tape.gradients(loss, [theta])
         grad = params_views(spec, flat_g)

@@ -504,7 +504,7 @@ print(json.dumps(results))
 
 class TestNoRawFailure:
     def test_overflow_oversize_and_non_finite_cases_exit_1_categorized(
-            self, tiny_train_config, tiny_dataset, checkpoint, tmp_path):
+            self, tiny_train_config, tiny_dataset, tiny_scenario_file, checkpoint, tmp_path):
         """Each input exits 1 and its first stderr line is the categorized
         error, not a traceback or a numpy warning, with the fragments that
         name the key or quantity."""
@@ -554,6 +554,46 @@ class TestNoRawFailure:
             path.write_text(json.dumps(cfg))
             cases += [(["train", str(path), data, "-o", out], "config", f"network.{key}"),
                       (["adcheck", str(path)], "config", f"network.{key}")]
+
+        # an integer literal past Python's 4,300-digit int-string limit, which
+        # json.loads raises as a plain ValueError
+        def big_int(name, obj, edit):
+            edit(obj)
+            path = tmp_path / name
+            path.write_text(json.dumps(obj).replace('"BIG"', "9" * 5000))
+            return str(path)
+
+        big_cfg = big_int("big_seed.json", json.loads(tiny_train_config.read_text()),
+                          lambda c: c.update(seed="BIG"))
+        big_scenario = big_int("big_duration.json",
+                               json.loads(tiny_scenario_file.read_text()),
+                               lambda sc: sc.update(duration_s="BIG"))
+        big_sidecar = dataset("big_sidecar")
+        big_int(meta_path(big_sidecar).name, json.loads(meta_path(tiny_dataset).read_text()),
+                lambda m: m.update(wave_speed_mps="BIG"))
+        cases += [
+            (["train", big_cfg, data, "-o", out], "config", f"train config {big_cfg}"),
+            (["adcheck", big_cfg], "config", f"train config {big_cfg}"),
+            (["generate", big_scenario, "-o", out], "config", f"scenario file {big_scenario}"),
+            (["train", str(tiny_train_config), big_sidecar, "-o", out], "config",
+             str(meta_path(big_sidecar))),
+        ]
+        long_scenario = tmp_path / "long.json"
+        long_scenario.write_text(json.dumps({**json.loads(tiny_scenario_file.read_text()),
+                                             "duration_s": 1e300}))
+        scenario = str(tiny_scenario_file)
+        cases += [
+            (["generate", scenario, "-o", out, "--moc-dt", "1e-9"], "grid",
+             "one MOC time row at dt=1e-09 s has 1 x 1."),
+            (["generate", scenario, "-o", out, "--moc-dt", "1e-5"], "grid",
+             "the MOC field of 60.0 s at dt=1e-05 s has 6e+06 x"),
+            (["generate", scenario, "-o", out, "--grid-dx", "1e-9"], "grid",
+             "the export grid has 121 x 2e+12 points"),
+            (["generate", scenario, "-o", out, "--grid-dt", "1e-9"], "grid",
+             "the export grid has 6e+10 x 3 points"),
+            (["generate", str(long_scenario), "-o", out], "grid",
+             "the export grid has 2e+300 x 3 points"),
+        ]
 
         src = str(Path(hydropinn.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",

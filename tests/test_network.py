@@ -128,10 +128,51 @@ def test_taped_forward_equals_tape_free_forward(output_mode, tangents, n):
     rng = np.random.default_rng(3)
     x, t = rng.uniform(0, 50_000, n), rng.uniform(0, 600, n)
     fn = forward_with_input_tangents if tangents else net_forward
-    taped = taped_forward(spec, Tape().leaf(params_flatten(params)), x, t,
-                          with_tangents=tangents)
+    (taped,) = taped_forward(spec, Tape().leaf(params_flatten(params)), x, t,
+                             with_tangents=tangents)
     for got, want in zip(taped, fn(spec, params, x, t), strict=True):
         assert np.array_equal(got.value, want)
+
+
+def _sum_of_squares(outputs):
+    return sum((o * o).mean() for family in outputs for o in family)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 48, 128, BLOCK_ROWS])
+def test_one_node_over_families_equals_a_node_per_family(dtype, n):
+    """Each family runs the layers over its own rows of the node's buffers,
+    so its outputs are bitwise those of a node over that family alone; the
+    node's one reverse sweep sums the same per-row terms in another order,
+    within 1e-12 (float64 leaf) or 1e-5 (float32) relative L2 of the
+    per-family gradients' sum."""
+    spec = NetSpec(scaler=InputScaler(0.0, 50_000.0, 0.0, 600.0))
+    theta = params_flatten(init_params(spec, 5)).astype(dtype)
+    rng = np.random.default_rng(n)
+    sizes = (n, 48, n)  # bc, ic, then the tangent-carrying collocation family
+    points = [(rng.uniform(0, 50_000, k), rng.uniform(0, 600, k)) for k in sizes]
+    leaf = Tape().leaf(theta)
+    joint = taped_forward(spec, leaf, np.concatenate([x for x, _ in points]),
+                          np.concatenate([t for _, t in points]), with_tangents=True,
+                          sizes=sizes)
+    (want,) = leaf.tape.gradients(_sum_of_squares(joint), [leaf])
+    summed = np.zeros_like(want)
+    for i, ((x, t), outputs) in enumerate(zip(points, joint, strict=True)):
+        alone = Tape().leaf(theta)
+        (own,) = taped_forward(spec, alone, x, t, with_tangents=i == len(sizes) - 1)
+        assert len(own) == len(outputs) == (6 if i == len(sizes) - 1 else 2)
+        for got, expected in zip(outputs, own, strict=True):
+            assert np.array_equal(got.value, expected.value)
+        summed += alone.tape.gradients(_sum_of_squares([own]), [alone])[0]
+    tolerance = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.linalg.norm(want - summed) <= tolerance * np.linalg.norm(summed)
+
+
+def test_taped_forward_family_sizes_must_cover_the_points():
+    spec = NetSpec(hidden_layers=1, width=3)
+    leaf = Tape().leaf(params_flatten(init_params(spec, 0)))
+    with pytest.raises(ValueError, match="do not add up"):
+        taped_forward(spec, leaf, np.zeros(5), np.zeros(5), sizes=(2, 2))
 
 
 def test_desk_grid_forward_stays_small():

@@ -557,8 +557,8 @@ class TestFloat32TapedForward:
         monkeypatch.setattr(hydropinn.losses, "taped_forward", recorded)
         cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(3, 2, 4))
         _, params, _ = train(cfg, tiny_data)
-        # one node per family an iteration's objective reads: bc, ic, then bc+ic+f
-        assert dtypes == [np.dtype(np.float32)] * (3 + 2 + 4 * 3)
+        # one node per iteration, over every family its objective reads
+        assert dtypes == [np.dtype(np.float32)] * (3 + 2 + 4)
         assert all(a.dtype == np.float64 for layer in params for a in layer)
 
     @pytest.mark.parametrize("baseline", ["kih", "pinn", "dnn"])
@@ -580,6 +580,28 @@ class TestFloat32TapedForward:
         terms, _ = training._batch_terms(spec, leaf, p.colloc, p.coeffs, rows, form)
         (want,) = leaf.tape.gradients(training._weighted_sum(p.objective, terms), [leaf])
         assert np.array_equal(params_flatten(taped_coupled_gradient(p)), want)
+
+
+@pytest.mark.parametrize("kind, families", [
+    ("bc", 1), ("ic", 1), ("data", 2), ("coupled", 3)])
+def test_one_network_node_per_iteration(monkeypatch, tiny_cfg, tiny_data, kind, families):
+    """Every stage kind records one taped network node per iteration, over
+    every family its objective reads."""
+    import hydropinn.losses
+
+    forward = hydropinn.losses.taped_forward
+    nodes = []
+
+    def recorded(*args, **kwargs):
+        outputs = forward(*args, **kwargs)
+        nodes.append(len(outputs))
+        return outputs
+
+    monkeypatch.setattr(hydropinn.losses, "taped_forward", recorded)
+    spec = _make_spec(tiny_cfg, tiny_data.scaler)
+    theta = params_flatten(init_params(spec, np.random.default_rng(0)))
+    _run_stage(1, kind, 5, tiny_cfg, spec, theta, tiny_data, TrainTrace(), 0, "split")
+    assert nodes == [families] * 5
 
 
 class TestOffObjectiveTerms:

@@ -35,6 +35,12 @@ offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
   config otherwise) with every one of its 114 coordinates probed, so that
   each layer is the resume layer of some probe, the output layer and the
   first layer included, which a 50-coordinate draw often misses;
+* the sha256 of the batch terms and diagnostics of one iteration of each
+  stage kind (`bc`, `ic`, `data`, `coupled`) of kih, and of pinn's
+  `coupled`, on the 0.5 s desk dataset at the seed-0 init parameters,
+  with the rows of each family's first draw in stage 1, on a float64 and
+  on a float32 leaf: `training._batch_terms`, the values in name order.
+  These lines hold while the families share one network node or not;
 * the sha256 of the gradient that training's float32 path gives on the
   shipped kih config's adcheck problem (32 points per family) at its
   init parameters: `training._batch_terms` over all its points on a
@@ -93,10 +99,11 @@ def main(argv) -> int:
     from hydropinn.autodiff.tape import Tape
     from hydropinn.dataset import DatasetMeta, read_dataset, write_dataset
     from hydropinn.moc import export_grid, run_details, sample
-    from hydropinn.network import (forward_with_input_tangents, load_checkpoint, net_forward,
-                                   params_flatten, save_checkpoint)
+    from hydropinn.network import (forward_with_input_tangents, init_params, load_checkpoint,
+                                   net_forward, params_flatten, save_checkpoint)
     from hydropinn.scenario import Offtake, PiecewiseSignal, load_scenario
-    from hydropinn.training import (TERM_FAMILY, TrainingData, _batch_terms, _weighted_sum,
+    from hydropinn.training import (TERM_FAMILY, TrainingData, _batch_terms, _make_spec,
+                                    _objective, _schedule, _stage_rows, _weighted_sum,
                                     load_train_config, train)
 
     if not Path(hydropinn.__file__).resolve().is_relative_to(root):
@@ -153,6 +160,23 @@ def main(argv) -> int:
             print(f"{baseline} {fn.__name__} "
                   f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
                   f"({xg.size} points)")
+    for baseline, kinds in (("kih", ("bc", "ic", "data", "coupled")), ("pinn", ("coupled",))):
+        cfg = load_train_config(root / "configs" / f"{baseline}.json")
+        spec = _make_spec(cfg, data.scaler)
+        theta = params_flatten(init_params(
+            spec, np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))))
+        form = _schedule(cfg)[-1][3]
+        for kind in kinds:
+            objective = _objective(kind, cfg.weights)
+            batchers, _ = _stage_rows(cfg, data, 1)
+            rows = {f: batchers[f].next() for f in {TERM_FAMILY[n] for n in objective}}
+            for dtype in (np.float64, np.float32):
+                terms, diagnostics = _batch_terms(spec, Tape().leaf(theta.astype(dtype)),
+                                                  data.colloc, data.coeffs, rows, form)
+                values = {**{n: float(v.value) for n, v in terms.items()}, **diagnostics}
+                print(f"{baseline} {kind} batch terms, {np.dtype(dtype).name} leaf "
+                      f"{_digest(struct.pack('<d', values[n]) for n in sorted(values))} "
+                      f"({', '.join(sorted(values))})")
     grads, float32_grads, losses = [], [], []
     taped_gradient = hydropinn.adcheck.taped_coupled_gradient
     probe_loss = hydropinn.adcheck.fast_coupled_loss
