@@ -227,8 +227,12 @@ def adcheck(obj, config_path, points, fd_step, tolerance, order, max_coords):
 
 
 def main(argv=None) -> int:
+    """Run one command with numpy's overflow, invalid and divide warnings
+    silenced, so no warning precedes the error line; training reports a
+    non-finite trace term as a trace warning instead."""
     try:
-        cli.main(args=argv, prog_name="hydropinn", standalone_mode=False)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cli.main(args=argv, prog_name="hydropinn", standalone_mode=False)
     except click.exceptions.UsageError as exc:
         exc.show()
         return 2

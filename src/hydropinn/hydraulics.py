@@ -71,6 +71,7 @@ class PipelineSpec:
             raise DomainError("PipelineSpec.friction_factor must lie in (0, 0.1)")
         if not self.gravity > 0:
             raise DomainError("PipelineSpec.gravity must be strictly positive")
+        flow_area(self.diameter)
 
     @property
     def area(self) -> float:
@@ -119,7 +120,7 @@ def pressure_to_head(pressure, density: float, gravity: float = GRAVITY):
 
 def flow_area(diameter: float) -> float:
     """Area pi*D^2/4 [m^2] of a circular pipe; a diameter that is not
-    positive or whose area overflows is a domain error."""
+    positive, or whose area overflows or underflows to 0, is a domain error."""
     if diameter <= 0:
         raise DomainError("diameter must be strictly positive")
     try:
@@ -128,6 +129,8 @@ def flow_area(diameter: float) -> float:
         area = math.inf
     if not math.isfinite(area):
         raise DomainError(f"the flow area of diameter {diameter:g} m overflows")
+    if not area > 0:
+        raise DomainError(f"the flow area of diameter {diameter:g} m underflows to 0")
     return area
 
 

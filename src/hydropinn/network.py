@@ -19,7 +19,11 @@ whose only parent is the leaf over the flat parameter buffer: each
 family runs `_layers` over its own rows of fresh per-layer arrays, which
 the node keeps, and its reverse is one sweep over all the rows into one
 flat gradient. It computes in the leaf's dtype (float32 in training,
-float64 in the gradient check).
+float64 in the gradient check). In float32 the softplus clamps |z| at
+`FLOAT32_EXP_CUTOFF` before its exp, so a trained net's deep units,
+whose pre-activations reach below -87, feed no subnormal values into the
+later matmuls and ufuncs, which many x86 cores handle with a slow
+microcode assist; float64 runs the exact formula.
 
 A `ForwardCache` (`forward_cache`) keeps every layer's input rows over
 fixed points, the raw points themselves and the bytes of the (W, b) that
@@ -228,13 +232,24 @@ def _stack_inputs(spec: NetSpec, x, t) -> np.ndarray:
 
 
 BLOCK_ROWS = 512  # points per block: one block's buffers fit a 2 MB L2 cache
+FLOAT32_EXP_CUTOFF = 40.0  # float32 softplus clamps |z| here: exp(-40) = 4.2e-18
 
 
 def _softplus_inplace(v, e, tmp, mask=None) -> None:
     """v <- softplus(v) = max(v, 0) + log1p(exp(-|v|)) in place, leaving
     exp(-|v|) in `e` or, given a bool `mask` buffer, the sigmoid of the input
-    v from the same exp. `tmp` is scratch; all buffers have v's shape."""
+    v from the same exp. `tmp` is scratch; all buffers have v's shape.
+
+    In float32, |v| is clamped at `FLOAT32_EXP_CUTOFF` before the exp, so
+    exp(-|v|) is at least 4.2e-18 and never subnormal, as it is for
+    87.3 < |v| < 103.3 unclamped: a subnormal operand slows every later
+    ufunc and sgemm on many x86 cores. For v >= 40 softplus and sigmoid
+    round to v and 1 as before; for v <= -40 both read 4.2e-18 in place of
+    e^v. float64 runs the exact formula: its exp underflows only past
+    |v| = 708."""
     np.abs(v, out=e)
+    if v.dtype == np.float32:
+        np.minimum(e, FLOAT32_EXP_CUTOFF, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     if mask is not None:

@@ -376,6 +376,17 @@ def _eval_terms(spec, params, colloc: CollocationSet, coeffs: PhysicsCoefficient
     return terms
 
 
+def _warn_non_finite(trace: TrainTrace, stage_id: int, it: int, held: dict) -> bool:
+    """Add a trace warning naming the non-finite eval-set terms in `held`, if
+    any; returns whether it did."""
+    bad = [name for name, value in held.items() if not np.isfinite(value)]
+    if bad:
+        trace.warnings.append(
+            f"stage {stage_id} iteration {it}: eval-set "
+            f"{', '.join(f'{name}={held[name]:.4g}' for name in bad)} not finite")
+    return bool(bad)
+
+
 def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
                spec: NetSpec, theta: np.ndarray, data: TrainingData,
                trace: TrainTrace, start_iteration: int, form: str,
@@ -392,7 +403,8 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     stage's fixed eval sets, refreshed at stage start and every
     `EVAL_EVERY` iterations. The stage-end evaluation computes only the
     objective. An `ic` stage warns when it grew the boundary loss by more
-    than `BC_RETENTION_FACTOR`, and a batch objective that is not finite or
+    than `BC_RETENTION_FACTOR`, and once when an eval-set term it holds is
+    not finite. A batch objective that is not finite or
     exceeds `DIVERGENCE_THRESHOLD` raises `TrainingDivergedError`. That
     check comes first, so a non-finite gradient's `NumericalBlowupError`
     names the stage, the iteration and the (finite) batch objective.
@@ -405,6 +417,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
     c, coeffs = data.colloc, data.coeffs
 
     held = _eval_terms(spec, params, c, coeffs, eval_rows, form)
+    warned = _warn_non_finite(trace, stage_id, start_iteration, held)
     bc_before = held["bc"]
     start_obj = best_obj = _weighted_sum(objective, held)
     best, best_it = theta.copy(), None
@@ -446,6 +459,7 @@ def _run_stage(stage_id: int, kind: str, iterations: int, cfg: TrainConfig,
         if last or (k + 1) % EVAL_EVERY == 0:
             sets = {f: eval_rows[f] for f in families} if last else eval_rows
             held.update(_eval_terms(spec, params, c, coeffs, sets, form))
+            warned = warned or _warn_non_finite(trace, stage_id, it, held)
             obj = _weighted_sum(objective, held)
             if obj < best_obj:
                 best_obj, best_it = obj, it

@@ -578,9 +578,29 @@ class TestNoRawFailure:
             (["train", str(tiny_train_config), big_sidecar, "-o", out], "config",
              str(meta_path(big_sidecar))),
         ]
-        long_scenario = tmp_path / "long.json"
-        long_scenario.write_text(json.dumps({**json.loads(tiny_scenario_file.read_text()),
-                                             "duration_s": 1e300}))
+
+        def scenario_with(name, **edits):
+            path = tmp_path / name
+            path.write_text(json.dumps({**json.loads(tiny_scenario_file.read_text()),
+                                        **edits}))
+            return str(path)
+
+        long_scenario = scenario_with("long.json", duration_s=1e300)
+        # numpy overflows in the steady state and in the flow area before these
+        # errors unless the CLI silences its warnings
+        torrent = scenario_with("torrent.json", outlet_flowrate_m3ps=[[0.0, 1e300]])
+        hairline = scenario_with("hairline.json",
+                                 pipe={"length_m": 2000.0, "diameter_m": 1e-300})
+        hairline_sidecar = dataset("hairline",
+                                   lambda m: m["pipe"].update(diameter_m=1e-300))
+        cases += [
+            (["generate", torrent, "-o", out, "--moc-dt", "0.05"], "domain",
+             "steady pressure reaches -inf MPa"),
+            (["generate", hairline, "-o", out], "domain",
+             "the flow area of diameter 1e-300 m underflows to 0"),
+            (["train", str(tiny_train_config), hairline_sidecar, "-o", out], "domain",
+             "the flow area of diameter 1e-300 m underflows to 0"),
+        ]
         scenario = str(tiny_scenario_file)
         cases += [
             (["generate", scenario, "-o", out, "--moc-dt", "1e-9"], "grid",
@@ -591,7 +611,7 @@ class TestNoRawFailure:
              "the export grid has 121 x 2e+12 points"),
             (["generate", scenario, "-o", out, "--grid-dt", "1e-9"], "grid",
              "the export grid has 6e+10 x 3 points"),
-            (["generate", str(long_scenario), "-o", out], "grid",
+            (["generate", long_scenario, "-o", out], "grid",
              "the export grid has 2e+300 x 3 points"),
         ]
 

@@ -11,9 +11,11 @@ from hydropinn.errors import ConfigError, DomainError
 from hydropinn.losses import residuals
 from hydropinn.network import (
     BLOCK_ROWS,
+    FLOAT32_EXP_CUTOFF,
     OUTPUT_MODES,
     InputScaler,
     NetSpec,
+    _softplus_inplace,
     _stack_inputs,
     forward_cache,
     forward_with_input_tangents,
@@ -166,6 +168,75 @@ def test_one_node_over_families_equals_a_node_per_family(dtype, n):
         summed += alone.tape.gradients(_sum_of_squares([own]), [alone])[0]
     tolerance = 1e-12 if dtype == np.float64 else 1e-5
     assert np.linalg.norm(want - summed) <= tolerance * np.linalg.norm(summed)
+
+
+def _float32_subnormal(a):
+    """Entries of `a` that are nonzero and below float32's smallest normal."""
+    a = np.abs(np.asarray(a))
+    return (a > 0) & (a < np.finfo(np.float32).tiny)
+
+
+def _unclamped_softplus(z):
+    """softplus and sigmoid of z by `_softplus_inplace`'s ops without the
+    cut-off, in z's dtype."""
+    one = z.dtype.type(1.0)
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0) + np.log1p(e), np.where(z >= 0, one, e) / (e + one)
+
+
+def _softplus(z):
+    v, e, tmp, mask = z.copy(), np.empty_like(z), np.empty_like(z), np.empty(z.shape, bool)
+    _softplus_inplace(v, e, tmp, mask)
+    return v, e
+
+
+class TestSoftplusCutoff:
+    def test_float32_has_no_subnormal_and_is_bitwise_unclamped_elsewhere(self):
+        """float32 exp(-|z|) is subnormal for 87.3 < |z| < 103.3; clamped at
+        |z| = 40, softplus and sigmoid are the unclamped ones wherever
+        |z| < 40 or z >= 40, and exp(-40) where z <= -40."""
+        edges = [40.0, 87.0, 87.5, 95.0, 103.0, 103.5, 110.0]
+        z = np.concatenate([np.linspace(-120.0, 120.0, 24_001), edges, np.negative(edges),
+                            np.nextafter(np.float32([40.0, -40.0]), 0)]).astype(np.float32)
+        v, sigmoid = _softplus(z)
+        assert not _float32_subnormal(v).any() and not _float32_subnormal(sigmoid).any()
+        want_v, want_sigmoid = _unclamped_softplus(z)
+        kept = (np.abs(z) < FLOAT32_EXP_CUTOFF) | (z >= FLOAT32_EXP_CUTOFF)
+        assert np.array_equal(v[kept], want_v[kept])
+        assert np.array_equal(sigmoid[kept], want_sigmoid[kept])
+        floor = np.exp(np.float32(-FLOAT32_EXP_CUTOFF))
+        assert np.all(v[~kept] == floor) and np.all(sigmoid[~kept] == floor)
+
+    def test_float64_is_the_unclamped_formula(self):
+        z = np.linspace(-750.0, 750.0, 30_001)
+        for got, want in zip(_softplus(z), _unclamped_softplus(z), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_float32_node_over_deep_negative_units(self):
+        """Half the first layer's units sit at pre-activations in (-103, -87)
+        on every value row, where the unclamped float32 sigmoid is subnormal:
+        the float32 node's outputs and flat gradient hold no float32-subnormal
+        entry and stay within 1e-5 relative L2 of the float64 node's."""
+        spec = NetSpec(hidden_layers=2, width=8)
+        params = init_params(spec, 2)
+        w0, b0 = params[0]
+        w0[:, ::2] = np.clip(w0[:, ::2], -1.0, 1.0)
+        b0[::2] = -95.0
+        rng = np.random.default_rng(2)
+        sizes = (16, 16)
+        x, t = rng.uniform(0, 1, sum(sizes)), rng.uniform(0, 1, sum(sizes))
+        z0 = _stack_inputs(spec, x, t) @ w0 + b0
+        assert np.all((z0[:, ::2] > -103.0) & (z0[:, ::2] < -87.0))
+        results = []
+        for dtype in (np.float32, np.float64):
+            leaf = Tape().leaf(params_flatten(params).astype(dtype))
+            outputs = taped_forward(spec, leaf, x, t, with_tangents=True, sizes=sizes)
+            (grad,) = leaf.tape.gradients(_sum_of_squares(outputs), [leaf])
+            results.append(([o.value for family in outputs for o in family], grad))
+        (outputs32, grad32), (outputs64, grad64) = results
+        for got, want in zip(outputs32 + [grad32], outputs64 + [grad64], strict=True):
+            assert not _float32_subnormal(got).any()
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
 def test_taped_forward_family_sizes_must_cover_the_points():

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +174,6 @@ class TestStages:
             assert r1 == r2
 
     def test_different_seed_differs(self, tiny_cfg, tiny_data):
-        from dataclasses import replace
-
         _, params1, _ = train(tiny_cfg, tiny_data)
         _, params2, _ = train(replace(tiny_cfg, seed=1), tiny_data)
         assert not np.array_equal(params1[0][0], params2[0][0])
@@ -202,6 +201,20 @@ class TestStages:
         cfg = TrainConfig(hidden_layers=2, width=8, stage_iterations=(30, 30, 0), seed=0)
         _, _, trace = train(cfg, tiny_data)
         assert any("boundary loss" in w for w in trace.warnings)
+
+    def test_non_finite_trace_term_warns_once_per_stage(self, tiny_data):
+        # a friction coefficient whose v|v| term overflows makes the trace-only
+        # mo column inf while the dnn's data objective stays finite
+        data = TrainingData(colloc=tiny_data.colloc, scaler=tiny_data.scaler,
+                            coeffs=replace(tiny_data.coeffs, friction_hv=1e308))
+        cfg = TrainConfig(baseline="dnn", hidden_layers=2, width=8, iterations=260, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, trace = train(cfg, data)
+        assert all(np.isfinite(r.loss_total) for r in trace.rows)
+        assert np.isinf(trace.rows[-1].loss_mo)
+        (warning,) = trace.warnings
+        assert warning.startswith("stage 1 iteration 0: eval-set ")
+        assert "mo=inf" in warning and warning.endswith(" not finite")
 
     def test_stage3_zero_physics_equals_data_run(self, tiny_data):
         """With zero physics weights stage three is exactly a joint data fit."""

@@ -24,6 +24,12 @@ offtake-draw branch. It trains on the 0.5 s dataset and prints, per baseline:
 * the sha256 of `net_forward` and of `forward_with_input_tangents` for
   those trained params over the desk grid (51 x 1201 = 61,251 points, so
   the forwards' last block has 323 rows), the eval path;
+* for dnn, the sha256 of one `data` iteration's batch terms and
+  diagnostics and of its flat gradient at those trained params, on a
+  float32 copy of them as the leaf, with the rows of stage 1's first
+  draw: trained deep layers reach pre-activations below -87, where
+  float32 exp(-|z|) would be subnormal, which the init-parameter lines
+  below never reach;
 * the adcheck `max_rel_error` and `worst_coordinate` of the shipped
   config (order 4, 50 coordinates, coordinate seed 7), the sha256 of the
   full taped gradient that check compares against and the sha256 of every
@@ -160,6 +166,20 @@ def main(argv) -> int:
             print(f"{baseline} {fn.__name__} "
                   f"{_digest(np.ascontiguousarray(o).tobytes() for o in outputs)} "
                   f"({xg.size} points)")
+        if baseline == "dnn":
+            # trained deep layers reach the pre-activations where float32
+            # exp(-|z|) is subnormal, which the init lines below never do
+            objective = _objective("data", cfg.weights)
+            batchers, _ = _stage_rows(cfg, data, 1)
+            rows = {f: batchers[f].next() for f in ("bc", "ic")}
+            theta_var = Tape().leaf(params_flatten(params).astype(np.float32))
+            terms, diagnostics = _batch_terms(spec, theta_var, data.colloc, data.coeffs,
+                                              rows, _schedule(cfg)[-1][3])
+            values = {**{n: float(v.value) for n, v in terms.items()}, **diagnostics}
+            (grad,) = theta_var.tape.gradients(_weighted_sum(objective, terms), [theta_var])
+            print(f"dnn trained data batch terms, float32 leaf "
+                  f"{_digest(struct.pack('<d', values[n]) for n in sorted(values))}")
+            print(f"dnn trained data float32-leaf gradient {_digest([grad.tobytes()])}")
     for baseline, kinds in (("kih", ("bc", "ic", "data", "coupled")), ("pinn", ("coupled",))):
         cfg = load_train_config(root / "configs" / f"{baseline}.json")
         spec = _make_spec(cfg, data.scaler)
